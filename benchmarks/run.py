@@ -4,9 +4,10 @@
 
 The program is taken from ``src/chaincnn`` beside this script's directory; without
 it the run exits with code 2. The run generates its inputs from the seed,
-sets up ``SETUP_REPEATS`` times, then runs operations in a closed loop from
-this one process until the next one would end past ``--seconds``, checking
-every output against the reference. BLAS/OpenMP are pinned to one thread.
+sets up ``SETUP_REPEATS`` times, then runs one untimed warm-up operation and
+timed operations in a closed loop from this one process until the next one
+would end past ``--seconds`` (the warm-up included), checking every output
+against the reference. BLAS/OpenMP are pinned to one thread.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``. ``--trace 0`` reports
@@ -99,24 +100,28 @@ def run_checked(workload, inputs, reference, case, tracer=None, op_id="op"):
 def measure(workload, inputs, reference, case, seconds):
     """Closed loop: start the next operation only if it should end in time.
 
-    Returns the results and the peak RSS in MB after the first operation, which
-    does not depend on how many operations fit in the run.
+    The first operation warms up and is not timed; it is checked and counted
+    like the others. The window of ``seconds`` includes it. Returns the
+    warm-up result, the timed results and the peak RSS in MB after the first
+    timed operation, which does not depend on how many operations fit in the
+    run.
     """
-    results = []
     start = time.perf_counter()
+    warmup = run_checked(workload, inputs, reference, case)
+    results = []
     while True:
         results.append(run_checked(workload, inputs, reference, case))
         if len(results) == 1:
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if time.perf_counter() - start + results[-1].wall_s > seconds:
-            return results, peak_rss_mb
+            return warmup, results, peak_rss_mb
 
 
 def measure_traced(workload, inputs, reference, case, seconds, tracer):
     """After one warm-up, alternate untraced and traced runs of the same operation."""
+    start = time.perf_counter()
     warmup = run_checked(workload, inputs, reference, case)
     untraced, traced = [], []
-    start = time.perf_counter()
     while True:
         untraced.append(run_checked(workload, inputs, reference, case))
         op_id = f"op{len(traced)}"
@@ -126,7 +131,7 @@ def measure_traced(workload, inputs, reference, case, seconds, tracer):
         tracer.end_op()
         pair_s = untraced[-1].wall_s + traced[-1].wall_s
         if time.perf_counter() - start + pair_s > seconds:
-            return [warmup] + untraced, traced
+            return warmup, untraced, traced
 
 
 def end_to_end(inputs, results, setup_times, peak_rss_mb):
@@ -177,10 +182,11 @@ def run(workload, seed, seconds, trace, reference=None):
         lines = [f"env = {json.dumps(env)}", f"setup_repeats_s = {setup_times}"]
         if trace:
             tracer = tracing.Tracer()
-            untraced, traced = measure_traced(workload, inputs, reference, case, seconds, tracer)
-            results = untraced + traced
+            warmup, untraced, traced = measure_traced(
+                workload, inputs, reference, case, seconds, tracer)
+            results = [warmup] + untraced + traced
             overhead = (statistics.median(r.wall_s for r in traced)
-                        / statistics.median(r.wall_s for r in untraced[1:]) - 1.0)
+                        / statistics.median(r.wall_s for r in untraced) - 1.0)
             trace_path = WORK / "trace" / f"{workload.name}-seed{seed}.json"
             tracer.write(str(trace_path), env)
             lines.append(f"spans = {os.path.relpath(trace_path, ROOT)} ({len(tracer.spans)} spans)")
@@ -188,10 +194,11 @@ def run(workload, seed, seconds, trace, reference=None):
             metrics = {name: {"value": value, "unit": units[name]}
                        for name, value in tracer.summary(overhead).items()}
         else:
-            results, peak_rss_mb = measure(workload, inputs, reference, case, seconds)
+            warmup, timed, peak_rss_mb = measure(workload, inputs, reference, case, seconds)
+            results = [warmup] + timed
             metrics = {}
-            if any(r.error is None for r in results):
-                values, summary = end_to_end(inputs, results, setup_times, peak_rss_mb)
+            if any(r.error is None for r in timed):
+                values, summary = end_to_end(inputs, timed, setup_times, peak_rss_mb)
                 lines += summary
                 metrics = {name: {"value": values[name], "unit": unit}
                            for name, unit in END_TO_END}

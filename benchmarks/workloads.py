@@ -235,9 +235,11 @@ class ArgmaxWorkload:
         return "--raw report differs from the reference"
 
 
-# Why each workload exists is in BENCHMARK.json and README.md. Sizes keep one
-# operation well under a 30 s run on a 2-core box, and train_ablation's
-# longest record at 300 keeps its peak RSS near 1.5 GB.
+# Why each workload exists is in BENCHMARK.json and README.md. Sizes keep
+# several operations in one run on a 2-core box, and train_ablation's longest
+# record at 300 keeps its peak RSS near 1.5 GB. BENCHMARK.json lists all but
+# train_ablation, so that the listed workloads' runs can be longer within the
+# total time for all runs; it still runs by name.
 WORKLOADS = {w.name: w for w in (
     # the scheduled-sampling pass dominates each conditioned step
     TrainWorkload(name="train_chained", config="chained", batch_size=8, steps=5,
@@ -246,7 +248,7 @@ WORKLOADS = {w.name: w for w in (
     TrainWorkload(name="train_ablation", config="ablation_row9", batch_size=50, steps=5,
                   train_lengths=(200, 30, 300)),
     # width-8 beam search over a 2-model ensemble
-    BeamWorkload(name="decode_beam", config="chained", members=2, lengths=(2, 150, 170)),
+    BeamWorkload(name="decode_beam", config="chained", members=2, lengths=(1, 160, 160)),
     # batch-1 argmax forwards plus corpus loading and metrics
     ArgmaxWorkload(name="decode_argmax", config="ablation_row9", lengths=(200, 30, 700)),
 )}
