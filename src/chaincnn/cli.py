@@ -15,20 +15,18 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .data import (
-    DatasetSplit,
     PssmStats,
     apply_pssm_stats,
-    compute_pssm_stats,
     labels_to_string,
     load_native,
     load_npy,
+    normalize_pssm,
     records_from_matrix,
     split_records,
 )
@@ -41,7 +39,7 @@ from .errors import (
 )
 from .inference import Ensemble, beam_search, decode_independent
 from .metrics import confusion_matrix, q8, render_report
-from .model import BlockSpec, ModelConfig, ablation_model_config, build
+from .model import BlockSpec, ModelConfig, build
 from .training import (
     TrainConfig,
     bind_checkpoint,
@@ -307,26 +305,10 @@ def load_records(data_dir: str):
     return _read_records(corpus_path), (_read_records(test_path) if test_path else [])
 
 
-def _storage_rounded(stats: PssmStats) -> PssmStats:
-    # round to checkpoint precision up front so training and later
-    # evaluation normalize features bit-identically
-    return PssmStats(
-        mean=stats.mean.astype(np.float32).astype(np.float64),
-        std=stats.std.astype(np.float32).astype(np.float64),
-    )
-
-
 def prepare_split(run: RunConfig, data_dir: str):
     records, test = load_records(data_dir)
-    split = split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test)
-    stats = _storage_rounded(compute_pssm_stats(split.train))
-    split = DatasetSplit(
-        train=apply_pssm_stats(split.train, stats),
-        validation=apply_pssm_stats(split.validation, stats),
-        test=apply_pssm_stats(split.test, stats),
-        seed=split.seed,
-    )
-    return split, stats
+    return normalize_pssm(
+        split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test))
 
 
 def _model_stats(model) -> PssmStats:
@@ -352,17 +334,10 @@ def _load_ensemble(paths) -> tuple[Ensemble, RunConfig]:
     return Ensemble(tuple(models)), first_run
 
 
-def _decode_all(ensemble: Ensemble, records, beam_width: int, threads: int):
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
+def _decode_all(ensemble: Ensemble, records, beam_width: int):
     if ensemble.conditioned:
-        decode = lambda r: beam_search(ensemble, r, beam_width)
-    else:
-        decode = lambda r: decode_independent(ensemble, r)
-    if threads == 1 or len(records) < 2:
-        return [decode(r) for r in records]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(decode, records))
+        return [beam_search(ensemble, r, beam_width) for r in records]
+    return [decode_independent(ensemble, r) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +379,7 @@ def cmd_eval(args) -> int:
         chosen = split_records(records, n_val=run.n_validation,
                                seed=run.training.seed).validation
     chosen = apply_pssm_stats(chosen, _model_stats(ensemble.members[0]))
-    preds = _decode_all(ensemble, chosen, args.beam_width, args.threads)
+    preds = _decode_all(ensemble, chosen, args.beam_width)
     report = render_report(q8(preds, chosen), confusion_matrix(preds, chosen),
                            digits=None if args.raw else 3)
     print(report, end="")
@@ -415,7 +390,7 @@ def cmd_predict(args) -> int:
     ensemble, _ = _load_ensemble(args.ckpt)
     records = load_native(args.input)
     records = apply_pssm_stats(records, _model_stats(ensemble.members[0]))
-    preds = _decode_all(ensemble, records, args.beam_width, args.threads)
+    preds = _decode_all(ensemble, records, args.beam_width)
     with open(args.output, "w", encoding="utf-8") as fh:
         for record, pred in zip(records, preds):
             fh.write(f"{record.id}\t{labels_to_string(pred)}\n")
@@ -424,26 +399,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_config = ablation_model_config(args.row)
-    lr_init, lr_factor, lr_every = schedule_for(model_config.kind)
-    run = RunConfig(
-        model=model_config,
-        training=TrainConfig(lr_init=lr_init, lr_decay_factor=lr_factor,
-                             lr_decay_every=lr_every, max_iterations=1000000),
-        data_dir=args.data,
-    )
-    values = parse_config_text(render_config(run), f"<ablation row {args.row}>")
-    for item in args.set:
-        if "=" not in item:
-            raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        values[key] = value
-    run = build_run_config(values, args.seed)
+    if not 1 <= args.row <= 9:
+        raise ConfigError(f"ablation row must be in 1..9, got {args.row}")
+    run = load_run_config(f"ablation_row{args.row}", args.set, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"row{args.row}.ckpt")
-    return _train_and_save(run, run.data_dir, out_path)
+    return _train_and_save(run, args.data, os.path.join(args.out, f"row{args.row}.ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +434,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("validation", "test"), default="validation")
     p.add_argument("--beam-width", type=int, default=8,
                    help="beam width for conditioned models")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel decoding threads")
     p.add_argument("--raw", action="store_true",
                    help="print raw doubles instead of 3-decimal rounding")
 
@@ -484,7 +442,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="native-format fixture file")
     p.add_argument("--output", required=True, help="destination for id<TAB>letters lines")
     p.add_argument("--beam-width", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("ablate", help="train one row of the ablation ladder")
     p.add_argument("--row", type=int, required=True, help="ladder row, 1..9")

@@ -242,8 +242,14 @@ def apply_pssm_stats(records: list[ProteinRecord], stats: PssmStats) -> list[Pro
 
 
 def normalize_pssm(split: DatasetSplit) -> tuple[DatasetSplit, PssmStats]:
-    """Standardize all splits with statistics from the training records."""
-    stats = compute_pssm_stats(split.train)
+    """Standardize all splits with statistics from the training records.
+
+    The statistics are rounded to float32, the precision a checkpoint stores
+    them at, so training and later evaluation normalize bit-identically.
+    """
+    raw = compute_pssm_stats(split.train)
+    stats = PssmStats(mean=raw.mean.astype(np.float32).astype(np.float64),
+                      std=raw.std.astype(np.float32).astype(np.float64))
     return (
         DatasetSplit(
             train=apply_pssm_stats(split.train, stats),

@@ -105,6 +105,26 @@ def ensemble_step_score(members, features, mask, context=None) -> np.ndarray:
     return _mean_over_members(scores)[..., :NUM_REAL_CLASSES]
 
 
+def step_scores(members, rows, i: int) -> np.ndarray:
+    """Scores at position ``i`` for a batch of (record, label context) rows.
+
+    Builds each row's receptive-field window and conditioning context,
+    stacks them, and scores the whole batch with one ``ensemble_step_score``
+    call, so every member runs one window forward per position. Returns
+    [len(rows), 8] float64. Beam search, rescoring and scheduled sampling
+    all score through here.
+    """
+    rf = members[0].receptive_field()
+    feats, masks, contexts = [], [], []
+    for record, context in rows:
+        f, m = extract_window(record, i, rf.radius)
+        feats.append(f)
+        masks.append(m)
+        contexts.append(context_window(context, i, rf.radius, rf.conditioning_shift,
+                                       record.length))
+    return ensemble_step_score(members, np.stack(feats), np.stack(masks), np.stack(contexts))
+
+
 def decode_independent(model_or_ensemble, record: ProteinRecord) -> np.ndarray:
     """Argmax of (ensemble-averaged) log probabilities per masked-in position."""
     from .data import make_batch
@@ -145,19 +165,9 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
     if record.length == 0:
         return np.zeros(0, dtype=np.int64)
 
-    rf = members[0].receptive_field()
-    length = record.length
     beam = [(0.0, ())]  # (accumulated log_prob, labels so far)
-    for i in range(length):
-        feats, mask = extract_window(record, i, rf.radius)
-        feats_b = np.broadcast_to(feats, (len(beam),) + feats.shape)
-        mask_b = np.broadcast_to(mask, (len(beam),) + mask.shape)
-        ctx_b = np.stack([
-            context_window(np.array(labels, dtype=np.int64), i, rf.radius,
-                           rf.conditioning_shift, length)
-            for _, labels in beam
-        ])
-        scores = ensemble_step_score(members, feats_b, mask_b, ctx_b)
+    for i in range(record.length):
+        scores = step_scores(members, [(record, labels) for _, labels in beam], i)
         candidates = [
             (log_prob + float(scores[h, c]), labels + (c,))
             for h, (log_prob, labels) in enumerate(beam)
@@ -176,7 +186,6 @@ def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float
     beam results against independently rescored hypotheses.
     """
     members = _members(model_or_ensemble)
-    rf = members[0].receptive_field()
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != record.length:
         raise ParameterError(
@@ -184,16 +193,5 @@ def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float
         )
     total = 0.0
     for i in range(record.length):
-        feats, mask = extract_window(record, i, rf.radius)
-        ctx = context_window(labels, i, rf.radius, rf.conditioning_shift, record.length)
-        scores = ensemble_step_score(members, feats, mask, ctx)
-        total += float(scores[labels[i]])
+        total += float(step_scores(members, [(record, labels)], i)[0, labels[i]])
     return total
-
-
-def decode_record(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
-    """Dispatch: beam search for conditioned models, independent argmax otherwise."""
-    members = _members(model_or_ensemble)
-    if members[0].config.conditioned:
-        return beam_search(model_or_ensemble, record, beam_width)
-    return decode_independent(model_or_ensemble, record)

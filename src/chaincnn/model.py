@@ -338,33 +338,3 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
         "input_norm.pssm_std": T.Tensor(np.ones(NUM_PSSM, dtype=np.float32)),
     }
     return Model(config, layers, buffers)
-
-
-def ablation_model_config(row: int, conditioned: bool = False) -> ModelConfig:
-    """Model structure for ablation ladder rows 1..9 (row 9 is the final
-    convolutional architecture)."""
-    if not 1 <= row <= 9:
-        raise ConfigError(f"ablation row must be in 1..9, got {row}")
-    if row == 1:
-        return ModelConfig(
-            kind="fully_connected", fc_window=17, fc_layers=5,
-            conditioned=conditioned, dropout_rate=0.2, fc_max_norm=0.04614,
-        )
-    small_multi = ((3, 32), (5, 32), (7, 32))
-    big_multi = ((3, 64), (7, 64), (9, 64))
-    structure = {
-        2: ((BlockSpec(single_scale=(7, 32)),) * 1, 17, 5, False),
-        3: ((BlockSpec(single_scale=(7, 32)),) * 2, 17, 5, False),
-        4: ((BlockSpec(multi_scale=small_multi),) * 1, 11, 5, False),
-        5: ((BlockSpec(multi_scale=small_multi),) * 1, 11, 2, False),
-        6: ((BlockSpec(multi_scale=small_multi, single_scale=(7, 32)),) * 1, 11, 2, False),
-        7: ((BlockSpec(multi_scale=big_multi, single_scale=(9, 24)),) * 2, 11, 2, False),
-        8: ((BlockSpec(multi_scale=big_multi, single_scale=(9, 24)),) * 5, 11, 2, False),
-        9: ((BlockSpec(multi_scale=big_multi, single_scale=(9, 24)),) * 2, 11, 2, True),
-    }
-    blocks, window, n_fc, residual = structure[row]
-    return ModelConfig(
-        kind="convolutional", fc_window=window, fc_layers=n_fc,
-        blocks=blocks, skip_connections=residual, conditioned=conditioned,
-        dropout_rate=0.4, fc_max_norm=0.150,
-    )

@@ -12,7 +12,7 @@ import numpy as np
 import chaincnn.tensor as T
 from .data import Conditioning, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
-from .inference import beam_search, context_window, extract_window
+from .inference import beam_search, step_scores
 from .metrics import q8 as metrics_q8
 from .model import Model
 
@@ -108,19 +108,10 @@ def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray
         contexts.append(r.labels[: r.length].copy())
     if rate == 0.0:
         return contexts
-    rf = model.receptive_field()
     max_len = max((r.length for r in records), default=0)
     for i in range(max_len):
         rows = [k for k, r in enumerate(records) if i < r.length]
-        feats, masks, ctxs = [], [], []
-        for k in rows:
-            f, m = extract_window(records[k], i, rf.radius)
-            feats.append(f)
-            masks.append(m)
-            ctxs.append(context_window(contexts[k], i, rf.radius,
-                                       rf.conditioning_shift, records[k].length))
-        scores = model.forward_window(np.stack(feats), np.stack(masks), np.stack(ctxs))
-        s8 = scores[:, :8]
+        s8 = step_scores((model,), [(records[k], contexts[k]) for k in rows], i)
         probs = np.exp(s8 - s8.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)

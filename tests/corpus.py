@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from chaincnn.cli import load_run_config
 from chaincnn.data import (
     NOSEQ_CLASS,
     NUM_PSSM,
@@ -13,6 +14,12 @@ from chaincnn.data import (
 )
 
 CMAP = ColumnMap()
+
+
+def shipped_model(name):
+    """Model config of a shipped run config: ``ablation_row1`` .. ``ablation_row9``
+    (the architecture ladder) or ``chained`` (row 9, next-step conditioned)."""
+    return load_run_config(name, []).model
 
 
 def source_row(residues, labels, pssm=None, junk_seed=None):

@@ -27,7 +27,7 @@ from chaincnn.data import (
 from chaincnn.errors import CheckpointError, DataFormatError
 from chaincnn.inference import Ensemble, beam_search, decode_independent, sequence_log_prob
 from chaincnn.metrics import confusion_matrix, precision_recall, q8
-from chaincnn.model import ablation_model_config, build
+from chaincnn.model import build
 from chaincnn.training import (
     TrainConfig,
     bind_checkpoint,
@@ -38,7 +38,7 @@ from chaincnn.training import (
     save_checkpoint,
     train,
 )
-from corpus import rule_corpus
+from corpus import rule_corpus, shipped_model
 from gradcheck import away_from_kinks, check_grad
 from test_inference import brute_force_decode, greedy_decode
 from test_model import small_config
@@ -160,7 +160,7 @@ def test_02_overfit_final_architecture():
     start = time.time()
     records = rule_corpus(n=8, length=30, seed=0)
     split = DatasetSplit(train=records, validation=records, test=(), seed=0)
-    model = build(ablation_model_config(9), np.random.default_rng(0))
+    model = build(shipped_model("ablation_row9"), np.random.default_rng(0))
     config = TrainConfig(
         lr_init=2e-3, lr_decay_factor=0.5, lr_decay_every=10**6,
         max_iterations=3000, batch_size=8, eval_every=100, patience=1000,
@@ -226,7 +226,7 @@ def test_04_receptive_field_and_causality():
     mask = record.mask[:crop].astype(np.float32)
     rng = np.random.default_rng(0)
 
-    plain = build(ablation_model_config(9), np.random.default_rng(1))
+    plain = build(shipped_model("ablation_row9"), np.random.default_rng(1))
     rf = plain.receptive_field()
     assert (rf.width, rf.radius, rf.conditioning_shift) == (43, 21, 22)
     base = plain.forward(feats[None], mask[None]).data
@@ -240,7 +240,7 @@ def test_04_receptive_field_and_causality():
         out = plain.forward(noisy[None], mask[None]).data
         occlusion_ok += (out[0, q] == base[0, q]).all()
 
-    cond = build(ablation_model_config(9, conditioned=True), np.random.default_rng(2))
+    cond = build(shipped_model("chained"), np.random.default_rng(2))
     context = record.labels[:length]
     chans = conditioning_channels(context, rf.conditioning_shift, crop)
     base = cond.forward(np.concatenate([feats, chans], axis=1)[None], mask[None]).data

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from chaincnn.cli import (
 from chaincnn.data import save_native, string_to_labels
 from chaincnn.errors import ConfigError
 from chaincnn.metrics import q8
-from chaincnn.model import BlockSpec, ablation_model_config
-from chaincnn.training import TrainConfig, load_checkpoint
-from corpus import markov_corpus, rule_corpus, source_row
+from chaincnn.model import BlockSpec
+from chaincnn.training import TrainConfig, load_checkpoint, schedule_for
+from corpus import markov_corpus, rule_corpus, shipped_model, source_row
 
 TINY_CFG = """\
 # minimal convolutional model for smoke tests
@@ -121,12 +122,7 @@ class TestConfigParsing:
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("row", range(1, 10))
     def test_ablation_rows(self, row):
-        lr = (4e-4, 0.5, 35000) if row == 1 else (3.357e-4, 0.4, 200000)
-        run = RunConfig(
-            model=ablation_model_config(row),
-            training=TrainConfig(lr_init=lr[0], lr_decay_factor=lr[1],
-                                 lr_decay_every=lr[2], max_iterations=123),
-        )
+        run = load_run_config(f"ablation_row{row}", ["max_iterations=123"], seed_override=5)
         assert build_run_config(parse_config_text(render_config(run))) == run
 
     def test_every_field_survives(self):
@@ -147,13 +143,21 @@ class TestShippedConfigs:
         assert shipped_config_names() == [f"ablation_row{i}" for i in range(1, 10)] + ["chained"]
 
     @pytest.mark.parametrize("row", range(1, 10))
-    def test_rows_match_ladder(self, row):
+    def test_rows_match_ladder(self, row, monkeypatch):
+        # every row trains unconditioned with its family's learning-rate
+        # schedule and the paper's defaults for everything else
+        monkeypatch.delenv("CHAINCNN_SEED", raising=False)
         run = load_run_config(f"ablation_row{row}", [])
-        assert run.model == ablation_model_config(row)
+        assert run.model.kind == ("fully_connected" if row == 1 else "convolutional")
+        assert not run.model.conditioned
+        lr_init, lr_factor, lr_every = schedule_for(run.model.kind)
+        assert run.training == TrainConfig(lr_init=lr_init, lr_decay_factor=lr_factor,
+                                           lr_decay_every=lr_every, max_iterations=1000000)
+        assert (run.data_dir, run.n_validation) == (None, 256)
 
     def test_chained_is_conditioned_final(self):
         run = load_run_config("chained", [])
-        assert run.model == ablation_model_config(9, conditioned=True)
+        assert run.model == dataclasses.replace(shipped_model("ablation_row9"), conditioned=True)
         assert run.training.sampling_rate_init == 0.4
 
     def test_unknown_name_lists_options(self):
@@ -231,13 +235,12 @@ class TestEvalCommand:
         assert "[q8]" in report and "[per_class]" in report
         assert "L precision=" in report
 
-    def test_raw_and_threads_match_defaults(self, tmp_path, tiny_cfg, data_dir, capsys):
+    def test_raw_repeat_is_identical(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
         capsys.readouterr()
         assert main(["eval", "--ckpt", out, "--data", data_dir, "--raw"]) == 0
         one = capsys.readouterr().out
-        assert main(["eval", "--ckpt", out, "--data", data_dir, "--raw",
-                     "--threads", "4"]) == 0
+        assert main(["eval", "--ckpt", out, "--data", data_dir, "--raw"]) == 0
         assert capsys.readouterr().out == one
 
     def test_self_ensemble_matches_single(self, tmp_path, tiny_cfg, data_dir, capsys):
@@ -332,9 +335,10 @@ class TestPredictCommand:
 
 class TestAblateCommand:
     def test_invalid_row_exit_1(self, tmp_path, data_dir, capsys):
-        assert main(["ablate", "--row", "0", "--data", data_dir,
-                     "--out", str(tmp_path)]) == 1
-        assert "1..9" in capsys.readouterr().err
+        for row in ("0", "10"):
+            assert main(["ablate", "--row", row, "--data", data_dir,
+                         "--out", str(tmp_path)]) == 1
+            assert "1..9" in capsys.readouterr().err
 
     def test_row_two_smoke(self, tmp_path, data_dir, capsys):
         code = main(["ablate", "--row", "2", "--data", data_dir,
@@ -344,8 +348,23 @@ class TestAblateCommand:
                      "--set", "log_every=5"])
         assert code == 0
         run = load_run_config(str(tmp_path / "runs" / "row2.ckpt.cfg"), [])
-        assert run.model == ablation_model_config(2)
+        assert run.model == shipped_model("ablation_row2")
         assert run.training.max_iterations == 10
+
+    def test_same_files_as_train_config(self, tmp_path, data_dir, monkeypatch, capsys):
+        # ablate --row N is train --config ablation_rowN, $CHAINCNN_SEED included
+        monkeypatch.setenv("CHAINCNN_SEED", "7")
+        sets = ["--set", "max_iterations=6", "--set", "eval_every=3",
+                "--set", "batch_size=4", "--set", "n_validation=2"]
+        assert main(["ablate", "--row", "2", "--data", data_dir,
+                     "--out", str(tmp_path / "runs"), *sets]) == 0
+        out = str(tmp_path / "row2.ckpt")
+        assert main(["train", "--config", "ablation_row2", "--data", data_dir,
+                     "--out", out, *sets]) == 0
+        for suffix in ("", ".cfg"):
+            ablated = (tmp_path / "runs" / f"row2.ckpt{suffix}").read_bytes()
+            assert ablated == Path(out + suffix).read_bytes()
+        assert load_run_config(out + ".cfg", []).training.seed == 7
 
 
 class TestConditionedPipeline:
@@ -397,8 +416,7 @@ class TestUsage:
     def test_every_documented_flag_in_help(self, capsys):
         main(["eval", "--help"])
         text = capsys.readouterr().out
-        for flag in ("--ckpt", "--data", "--split", "--beam-width",
-                     "--threads", "--raw"):
+        for flag in ("--ckpt", "--data", "--split", "--beam-width", "--raw"):
             assert flag in text
 
     def test_unknown_flag_rejected(self, capsys):
@@ -406,8 +424,3 @@ class TestUsage:
 
     def test_missing_command_rejected(self, capsys):
         assert main([]) == 1
-
-    def test_bad_threads_exit_1(self, tmp_path, tiny_cfg, data_dir, capsys):
-        out = run_train(tmp_path, tiny_cfg, data_dir)
-        assert main(["eval", "--ckpt", out, "--data", data_dir,
-                     "--threads", "0"]) == 1

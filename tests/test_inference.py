@@ -13,7 +13,6 @@ from chaincnn.inference import (
     beam_search,
     context_window,
     decode_independent,
-    decode_record,
     ensemble_step_score,
     extract_window,
     sequence_log_prob,
@@ -303,15 +302,6 @@ class TestEnsembleValidation:
         other = build(small_config(skip=False), np.random.default_rng(1))
         with pytest.raises(ModeError):
             Ensemble((plain_model, other))
-
-    def test_decode_record_dispatch(self, cond_model, plain_model):
-        rec = rule_corpus(n=1, length=6, seed=13)[0]
-        np.testing.assert_array_equal(
-            decode_record(plain_model, rec), decode_independent(plain_model, rec)
-        )
-        np.testing.assert_array_equal(
-            decode_record(cond_model, rec), beam_search(cond_model, rec)
-        )
 
     def test_zero_length_record_decodes_empty(self, cond_model, plain_model):
         rec = rule_corpus(n=1, length=4, seed=0)[0]

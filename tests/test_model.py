@@ -10,12 +10,11 @@ from chaincnn.model import (
     BlockSpec,
     Model,
     ModelConfig,
-    ablation_model_config,
     build,
     parameter_count,
     receptive_field,
 )
-from corpus import rule_corpus
+from corpus import rule_corpus, shipped_model
 
 
 def small_config(conditioned=False, skip=True):
@@ -36,7 +35,7 @@ def small_config(conditioned=False, skip=True):
 
 class TestParameterCounts:
     def test_fc_baseline_closed_form(self):
-        cfg = ablation_model_config(1)
+        cfg = shipped_model("ablation_row1")
         expected = 17 * 42 * 455 + 455 + 4 * (455 * 455 + 455) + 455 * 9 + 9
         assert parameter_count(cfg) == expected
         model = build(cfg, np.random.default_rng(0))
@@ -44,20 +43,20 @@ class TestParameterCounts:
 
     @pytest.mark.parametrize("row", range(1, 10))
     def test_all_rows_match_built_models(self, row):
-        cfg = ablation_model_config(row)
+        cfg = shipped_model(f"ablation_row{row}")
         model = build(cfg, np.random.default_rng(0))
         assert model.num_parameters() == parameter_count(cfg)
 
     def test_conditioned_grows_input_channels(self):
-        plain = parameter_count(ablation_model_config(9))
-        cond = parameter_count(ablation_model_config(9, conditioned=True))
+        plain = parameter_count(shipped_model("ablation_row9"))
+        cond = parameter_count(shipped_model("chained"))
         # 9 extra input channels hit the three width-3/7/9 depth-64 convs
         assert cond - plain == 9 * 9 * (3 + 7 + 9) * 64 // 9
 
 
 class TestChannelArithmetic:
     def test_final_architecture_widths(self):
-        model = build(ablation_model_config(9), np.random.default_rng(1))
+        model = build(shipped_model("ablation_row9"), np.random.default_rng(1))
         assert model.layers["block1.multi_norm"].weights.data.shape == (192,)
         assert model.layers["block1.single"].weights.data.shape == (9, 192, 24)
         # skip projection condenses the previous block's 24-channel output
@@ -68,7 +67,7 @@ class TestChannelArithmetic:
         assert model.layers["output"].weights.data.shape == (455, 9)
 
     def test_no_residual_rows_have_no_skip_layers(self):
-        model = build(ablation_model_config(8), np.random.default_rng(1))
+        model = build(shipped_model("ablation_row8"), np.random.default_rng(1))
         assert not any("skip" in name for name in model.layers)
 
     def test_block_validation(self):
@@ -91,17 +90,17 @@ class TestReceptiveField:
         assert receptive_field(cfg).width == 3
 
     def test_fc_baseline_is_window(self):
-        rf = receptive_field(ablation_model_config(1))
+        rf = receptive_field(shipped_model("ablation_row1"))
         assert rf.width == 17
 
     def test_final_architecture(self):
-        rf = receptive_field(ablation_model_config(9))
+        rf = receptive_field(shipped_model("ablation_row9"))
         assert rf.width == 11 + 4 * 8 == 43
         assert rf.radius == 21
         assert rf.conditioning_shift == 22
 
     def test_multi_uses_widest_filter(self):
-        rf = receptive_field(ablation_model_config(4))
+        rf = receptive_field(shipped_model("ablation_row4"))
         assert rf.width == 11 + (7 - 1)
 
 
@@ -140,7 +139,7 @@ class TestForward:
 
     @pytest.mark.parametrize("row", range(1, 10))
     def test_every_ablation_row_runs(self, row):
-        model = build(ablation_model_config(row), np.random.default_rng(row))
+        model = build(shipped_model(f"ablation_row{row}"), np.random.default_rng(row))
         recs = rule_corpus(n=2, length=12, seed=1)
         batch = make_batch(recs, length=16)
         logits = model.forward(batch.features, batch.mask, train=True,
@@ -291,18 +290,12 @@ class TestForwardWindow:
 
 
 class TestAblationTable:
-    def test_row_bounds(self):
-        with pytest.raises(ConfigError):
-            ablation_model_config(0)
-        with pytest.raises(ConfigError):
-            ablation_model_config(10)
-
     def test_row_structure_spot_checks(self):
-        assert ablation_model_config(1).kind == "fully_connected"
-        assert ablation_model_config(3).blocks == (BlockSpec(single_scale=(7, 32)),) * 2
-        assert ablation_model_config(5).fc_layers == 2
-        assert ablation_model_config(8).blocks[0].multi_scale == ((3, 64), (7, 64), (9, 64))
-        assert len(ablation_model_config(8).blocks) == 5
-        row9 = ablation_model_config(9)
+        assert shipped_model("ablation_row1").kind == "fully_connected"
+        assert shipped_model("ablation_row3").blocks == (BlockSpec(single_scale=(7, 32)),) * 2
+        assert shipped_model("ablation_row5").fc_layers == 2
+        assert shipped_model("ablation_row8").blocks[0].multi_scale == ((3, 64), (7, 64), (9, 64))
+        assert len(shipped_model("ablation_row8").blocks) == 5
+        row9 = shipped_model("ablation_row9")
         assert row9.skip_connections and len(row9.blocks) == 2
         assert row9.dropout_rate == 0.4 and row9.fc_max_norm == 0.150
