@@ -1,9 +1,17 @@
 """Decoding: independent argmax, width-8 beam search, and log-prob ensembles.
 
-Beam scoring evaluates the receptive-field window around each position via
-``Model.forward_window`` instead of re-running the full forward per step;
-the two are equivalent because nothing outside the window can reach the
-center logit. Ensembles average the members' log probabilities per class.
+Beam search, scheduled sampling and rescoring score position i through
+``step_scores``: each (record, label context) row becomes the
+receptive-field window around i, and ``Model.forward_window`` scores the
+stacked windows. Nothing outside the window can reach the center logit, so
+this equals the full forward at i. ``forward_window`` computes only that
+center: the conv trunk runs as a valid-convolution pyramid that narrows to
+the fc_window columns the head reads, and the head runs once per window.
+The head's matmuls run on blocks of exactly receptive-field-width rows,
+zero-padded, because that is the row count the full forward multiplies per
+record and BLAS rounds other row counts differently; the scores are
+therefore bit-identical to the full forward's, whatever the batch size.
+Ensembles average the members' log probabilities per class.
 """
 
 from dataclasses import dataclass
@@ -93,14 +101,12 @@ def ensemble_step_score(members, features, mask, context=None) -> np.ndarray:
     """Per-class averaged log probabilities over the 8 structure classes.
 
     ``features``/``mask`` may be a single window or a batch of windows;
-    returns (8,) or (batch, 8) float64 accordingly.
+    returns (8,) or (batch, 8) float64 accordingly. ``members`` come from
+    one validated ``Ensemble`` or a single model, so they agree on mode.
     """
     members = tuple(members)
     if not members:
         raise ParameterError("no models to score with")
-    conditioned = members[0].config.conditioned
-    if any(m.config.conditioned != conditioned for m in members):
-        raise ModeError("ensemble members disagree on conditioning mode")
     scores = [m.forward_window(features, mask, context) for m in members]
     return _mean_over_members(scores)[..., :NUM_REAL_CLASSES]
 

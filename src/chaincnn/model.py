@@ -204,40 +204,64 @@ class Model:
                 f"expected [batch, length, {self.config.input_channels}] features, "
                 f"got {features.shape}"
             )
+        h = self._trunk(T.Tensor(features), mask, train, rng, valid=False)
+        return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
+
+    def _trunk(self, h: T.Tensor, mask, train: bool, rng, valid: bool) -> T.Tensor:
+        """The conv blocks over [batch, length, channels] input.
+
+        With ``valid`` each conv computes only the positions the next layer
+        consumes, so no output reads padding and the result is shorter than
+        the input by receptive-field width - fc_window; masks are sliced to
+        match. Without it every layer keeps the input length (SAME padding).
+        """
         cfg = self.config
         drop = cfg.dropout_rate
-        h = T.apply_mask(T.Tensor(features), mask)
-        for k in range(1, len(cfg.blocks) + 1):
-            b = cfg.blocks[k - 1]
-            block_in = h
+
+        def conv(name, x, crop):
+            lp = self.layers[name]
+            if valid:
+                return T.cropped_conv1d(x, lp.weights, lp.biases, crop)
+            return T.conv1d(x, lp.weights, lp.biases)
+
+        def norm_relu(x, name, mask):
+            x = T.batch_norm(x, mask, self.layers[name], train)
+            return T.apply_mask(T.dropout(T.relu(x), drop, train, rng), mask)
+
+        def cropped(mask, width):
+            crop = width // 2 if valid else 0
+            return crop, mask[:, crop : mask.shape[1] - crop]
+
+        mask = np.asarray(mask, dtype=np.float32)
+        h = T.apply_mask(h, mask)
+        for k, b in enumerate(cfg.blocks, start=1):
+            block_in, in_mask = h, mask
             if b.multi_scale:
-                branches = [
-                    T.conv1d(block_in, self.layers[f"block{k}.multi{i}"].weights,
-                             self.layers[f"block{k}.multi{i}"].biases)
+                crop, mask = cropped(mask, max(w for w, _ in b.multi_scale))
+                m = T.concat_channels([
+                    conv(f"block{k}.multi{i}", block_in, crop)
                     for i in range(len(b.multi_scale))
-                ]
-                m = T.concat_channels(branches)
-                m = T.batch_norm(m, mask, self.layers[f"block{k}.multi_norm"], train)
-                m = T.dropout(T.relu(m), drop, train, rng)
-                m = T.apply_mask(m, mask)
+                ])
+                m = norm_relu(m, f"block{k}.multi_norm", mask)
             else:
                 m = block_in
             if b.single_scale:
-                s = T.conv1d(m, self.layers[f"block{k}.single"].weights,
-                             self.layers[f"block{k}.single"].biases)
-                s = T.batch_norm(s, mask, self.layers[f"block{k}.single_norm"], train)
-                s = T.dropout(T.relu(s), drop, train, rng)
-                s = T.apply_mask(s, mask)
+                crop, mask = cropped(mask, b.single_scale[0])
+                s = norm_relu(conv(f"block{k}.single", m, crop), f"block{k}.single_norm", mask)
             else:
                 s = m
             if cfg.skip_connections and k >= 2:
-                proj = T.conv1d(block_in, self.layers[f"block{k}.skip"].weights,
-                                self.layers[f"block{k}.skip"].biases)
+                crop = (in_mask.shape[1] - mask.shape[1]) // 2
+                proj = conv(f"block{k}.skip", block_in, crop)
                 h = T.apply_mask(T.concat_channels([s, proj]), mask)
             else:
                 h = s
-        h = T.gather_windows(h, cfg.fc_window)
-        for i in range(cfg.fc_layers):
+        return h
+
+    def _head(self, h: T.Tensor, train: bool, rng) -> T.Tensor:
+        """FC stack and output layer over gathered fc_window features."""
+        drop = self.config.dropout_rate
+        for i in range(self.config.fc_layers):
             lp = self.layers[f"fc{i + 1}"]
             h = T.dropout(T.relu(T.dense(h, lp.weights, lp.biases)), drop, train, rng)
         out = self.layers["output"]
@@ -256,6 +280,19 @@ class Model:
         conditioned models ``context`` gives, per window position, the
         already-shifted label index (0..8) to one-hot into the
         conditioning channels. Returns [9] or [batch, 9] float64.
+
+        Only what the center logit depends on is computed. The trunk runs
+        as a valid-convolution pyramid (for ``chained``: 43 -> 35 -> 27 ->
+        19 -> 11 columns), whose last fc_window columns, flattened window-
+        position major, are exactly the center's ``gather_windows`` row. The
+        head then runs once per window, not once per window position.
+
+        The result is bit-identical to ``forward`` over the window, center
+        kept. That forward's head multiplies one record's [width, n_in] rows
+        per BLAS call, and BLAS rounds differently for other row counts (one
+        row goes to gemv, small products to a small-matrix kernel). So the
+        center rows are stacked into blocks of exactly ``width`` rows, the
+        last block zero-padded, and each head matmul runs on whole blocks.
         """
         features = np.asarray(features, dtype=np.float32)
         squeeze = features.ndim == 2
@@ -277,8 +314,12 @@ class Model:
             features = np.concatenate([features, chans], axis=2)
         elif context is not None:
             raise ModeError("unconditioned model takes no label context")
-        logits = self.forward(features, np.asarray(mask, dtype=np.float32), train=False)
-        center = T.log_softmax(logits.data[:, width // 2, :])
+        trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
+        n = trunk.shape[0]
+        rows = np.zeros((-(-n // width) * width, trunk[0].size), dtype=np.float32)
+        rows[:n] = trunk.reshape(n, -1)
+        logits = self._head(T.Tensor(rows.reshape(-1, width, rows.shape[1])), False, None)
+        center = T.log_softmax(logits.data.reshape(-1, NUM_CLASSES)[:n])
         return center[0] if squeeze else center
 
 

@@ -223,6 +223,16 @@ def conv1d(x: Tensor, filt: Tensor, bias: Tensor) -> Tensor:
     x: [batch, length, in_ch], filt: [width, in_ch, out_ch], bias: [out_ch].
     Filter widths must be odd so SAME padding is symmetric.
     """
+    return cropped_conv1d(x, filt, bias, 0)
+
+
+def cropped_conv1d(x: Tensor, filt: Tensor, bias: Tensor, crop: int) -> Tensor:
+    """``conv1d`` output positions [crop, length - crop) only.
+
+    Each kept position accumulates bias + x[t - r + w] @ filt[w] for taps
+    w = 0..width-1 in the same order as ``conv1d``, one matmul per record
+    and tap. With crop >= width // 2 no kept position reads padding.
+    """
     if x.data.ndim != 3 or filt.data.ndim != 3:
         raise ShapeError(
             f"conv1d expects x[b,l,c] and filt[w,c,o], got {x.data.shape} and {filt.data.shape}"
@@ -236,19 +246,27 @@ def conv1d(x: Tensor, filt: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"bias shape {bias.data.shape} != ({out_ch},)")
 
     b, length, _ = x.data.shape
+    out_len = length - 2 * crop
+    if crop < 0 or out_len < 0:
+        raise ParameterError(f"crop {crop} outside [0, {length // 2}] for length {length}")
     r = width // 2
-    xp = np.zeros((b, length + 2 * r, in_ch), dtype=np.float32)
-    xp[:, r : r + length] = x.data
-    out_data = np.broadcast_to(bias.data, (b, length, out_ch)).copy()
+    pad = max(r - crop, 0)  # zero rows needed past each end
+    off = max(crop - r, 0)  # xp row feeding tap 0 of the first kept output
+    if pad:
+        xp = np.zeros((b, length + 2 * pad, in_ch), dtype=np.float32)
+        xp[:, pad : pad + length] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    out_data = np.broadcast_to(bias.data, (b, out_len, out_ch)).copy()
     for w in range(width):
-        out_data += xp[:, w : w + length] @ filt.data[w]
+        out_data += xp[:, off + w : off + w + out_len] @ filt.data[w]
 
     def backward(g):
         if filt.requires_grad:
             df = np.empty_like(filt.data)
-            g2 = g.reshape(b * length, out_ch)
+            g2 = g.reshape(b * out_len, out_ch)
             for w in range(width):
-                seg = xp[:, w : w + length].reshape(b * length, in_ch)
+                seg = xp[:, off + w : off + w + out_len].reshape(b * out_len, in_ch)
                 df[w] = seg.T @ g2
             _accum(filt, df)
         if bias.requires_grad:
@@ -256,8 +274,8 @@ def conv1d(x: Tensor, filt: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for w in range(width):
-                dxp[:, w : w + length] += g @ filt.data[w].T
-            _accum(x, dxp[:, r : r + length])
+                dxp[:, off + w : off + w + out_len] += g @ filt.data[w].T
+            _accum(x, dxp[:, pad : pad + length])
 
     return Tensor(out_data, parents=(x, filt, bias), backward=backward)
 

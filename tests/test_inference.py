@@ -17,10 +17,11 @@ from chaincnn.inference import (
     extract_window,
     sequence_log_prob,
 )
-from chaincnn.model import build
+from chaincnn.model import Model, build
 from chaincnn.tensor import log_softmax
+from chaincnn.training import scheduled_sampling_pass
 from corpus import rule_corpus
-from test_model import small_config
+from test_model import conditioned_shipped, randomized_stats_model, small_config, window_oracle
 
 
 def brute_force_decode(members, record):
@@ -138,12 +139,6 @@ class TestEnsembleStepScore:
         members = [self._fake([0.125] * 8 + [1e-30]) for _ in range(3)]
         out = ensemble_step_score(members, None, None)
         np.testing.assert_allclose(out, np.log(1 / 8), atol=1e-12)
-
-    def test_mode_disagreement_rejected(self):
-        a = self._fake([1.0] * 9)
-        b = self._fake([1.0] * 9, conditioned=True)
-        with pytest.raises(ModeError):
-            ensemble_step_score([a, b], None, None)
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ParameterError):
@@ -287,6 +282,30 @@ class TestBatchRowStability:
         np.testing.assert_array_equal(permuted, full[perm])
         subset = cond_model.forward_window(feats_b[:3], mask_b[:3], ctxs[:3])
         np.testing.assert_array_equal(subset, full[:3])
+
+
+class TestDecodersMatchOracle:
+    """Beam search, rescoring and scheduled sampling give bit-identical
+    results whether windows are scored by ``forward_window`` or by the full
+    forward over the window."""
+
+    def test_patched_oracle_changes_nothing(self, monkeypatch):
+        chained = conditioned_shipped("chained")
+        ensemble = Ensemble((chained, randomized_stats_model(chained.config, 42)))
+        records = rule_corpus(n=2, length=14, seed=21) + rule_corpus(n=1, length=9, seed=22)
+
+        def decode():
+            labels = [beam_search(ensemble, r) for r in records]
+            log_probs = [sequence_log_prob(ensemble, r, y) for r, y in zip(records, labels)]
+            contexts = scheduled_sampling_pass(chained, records, 0.7, np.random.default_rng(5))
+            return labels, log_probs, contexts
+
+        fast = decode()
+        monkeypatch.setattr(Model, "forward_window", window_oracle)
+        slow = decode()
+        for a, b in zip(fast[0] + fast[2], slow[0] + slow[2]):
+            np.testing.assert_array_equal(a, b)
+        assert fast[1] == slow[1]
 
 
 class TestEnsembleValidation:

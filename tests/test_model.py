@@ -1,11 +1,16 @@
 """Model structure, receptive fields, and forward-pass locality."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import chaincnn.tensor as T
-from chaincnn.data import Conditioning, make_batch
+from chaincnn.data import NUM_CLASSES, Conditioning, make_batch
 from chaincnn.errors import ConfigError, ModeError, ShapeError
+from chaincnn.inference import extract_window
 from chaincnn.model import (
     BlockSpec,
     Model,
@@ -31,6 +36,40 @@ def small_config(conditioned=False, skip=True):
         dropout_rate=0.4,
         fc_max_norm=0.15,
     )
+
+
+SHIPPED = tuple(f"ablation_row{i}" for i in range(1, 10)) + ("chained",)
+
+
+def window_oracle(model, features, mask, context=None):
+    """Reference window scorer for [batch, width, 42] windows: the full
+    SAME-padded ``forward`` over each window, log-softmaxed at the center.
+    Same signature as ``Model.forward_window``, so tests can patch it in."""
+    features = np.asarray(features, dtype=np.float32)
+    if context is not None:
+        onehot = np.eye(NUM_CLASSES, dtype=np.float32)[np.asarray(context, dtype=np.int64)]
+        features = np.concatenate([features, onehot], axis=2)
+    logits = model.forward(features, np.asarray(mask, dtype=np.float32)).data
+    return T.log_softmax(logits[:, features.shape[1] // 2])
+
+
+def randomized_stats_model(config, seed):
+    """A built model whose batch-norm running statistics are random, so
+    inference-mode normalization is not close to the identity."""
+    model = build(config, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for lp in model.layers.values():
+        if "running_mean" in lp.extra:
+            ch = lp.weights.data.shape[0]
+            lp.extra["running_mean"].data = rng.normal(0.0, 0.3, ch).astype(np.float32)
+            lp.extra["running_var"].data = rng.uniform(0.5, 2.0, ch).astype(np.float32)
+    return model
+
+
+@functools.lru_cache(maxsize=None)
+def conditioned_shipped(name):
+    config = dataclasses.replace(shipped_model(name), conditioned=True)
+    return randomized_stats_model(config, SHIPPED.index(name))
 
 
 class TestParameterCounts:
@@ -270,7 +309,7 @@ class TestForwardWindow:
             feats.append(f)
             masks.append(m)
         batched = model.forward_window(np.stack(feats), np.stack(masks))
-        np.testing.assert_allclose(batched, np.stack(singles), atol=1e-6)
+        np.testing.assert_array_equal(batched, np.stack(singles))
 
     def test_context_mode_errors(self):
         plain = build(small_config(), np.random.default_rng(1))
@@ -287,6 +326,51 @@ class TestForwardWindow:
         model = build(small_config(), np.random.default_rng(1))
         with pytest.raises(ShapeError):
             model.forward_window(np.zeros((5, 42), dtype=np.float32), np.ones(5))
+
+
+class TestForwardWindowMatchesOracle:
+    """``forward_window`` (valid-conv trunk, center-only head) equals the full
+    forward over the window bit for bit, whatever the batch size."""
+
+    @given(
+        name=st.sampled_from(("chained", "ablation_row7", "ablation_row9")),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(name="chained", batch=1, seed=0)
+    @example(name="chained", batch=4, seed=1)
+    @example(name="chained", batch=43, seed=2)
+    @example(name="chained", batch=44, seed=3)
+    @example(name="ablation_row7", batch=44, seed=4)
+    @example(name="ablation_row9", batch=43, seed=5)
+    def test_conditioned_property(self, name, batch, seed):
+        model = conditioned_shipped(name)
+        rf = model.receptive_field()
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 60))
+        rec = rule_corpus(n=1, length=length, seed=seed % 1000)[0]
+        # centers from -radius to length + radius - 1: windows hang past both ends
+        centers = rng.integers(-rf.radius, length + rf.radius, size=batch)
+        feats, masks = zip(*(extract_window(rec, int(c), rf.radius) for c in centers))
+        feats, masks = np.stack(feats), np.stack(masks)
+        ctx = rng.integers(0, NUM_CLASSES, size=(batch, rf.width))
+        np.testing.assert_array_equal(
+            model.forward_window(feats, masks, ctx), window_oracle(model, feats, masks, ctx)
+        )
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_configs(self, name):
+        config = shipped_model(name)
+        model = randomized_stats_model(config, 100 + SHIPPED.index(name))
+        width = model.receptive_field().width
+        rng = np.random.default_rng(7)
+        for batch in (1, 4, 43, 44, 100):
+            feats = rng.standard_normal((batch, width, 42)).astype(np.float32)
+            mask = (rng.random((batch, width)) > 0.2).astype(np.float32)
+            ctx = rng.integers(0, NUM_CLASSES, (batch, width)) if config.conditioned else None
+            np.testing.assert_array_equal(
+                model.forward_window(feats, mask, ctx), window_oracle(model, feats, mask, ctx)
+            )
 
 
 class TestAblationTable:
