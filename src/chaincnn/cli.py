@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,20 +62,13 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# config parsing: flat key=value with a closed schema
+# config parsing: flat key=value with a closed schema. The keys are the fields
+# of ModelConfig and TrainConfig plus ``data`` and ``n_validation``; each is
+# parsed by its field's type, and an absent key takes the field's default.
 
-_MODEL_KEYS = frozenset({
-    "kind", "fc_window", "fc_layers", "fc_width", "blocks", "skip_connections",
-    "skip_projection_depth", "conditioned", "dropout_rate", "fc_max_norm",
-})
-_TRAIN_KEYS = frozenset({
-    "lr_init", "lr_decay_factor", "lr_decay_every", "max_iterations",
-    "batch_size", "sampling_rate_init", "sampling_rate_increment",
-    "sampling_rate_every", "eval_every", "patience", "seed", "log_every",
-    "target_q8",
-})
-_DATA_KEYS = frozenset({"data", "n_validation"})
-_ALL_KEYS = _MODEL_KEYS | _TRAIN_KEYS | _DATA_KEYS
+_ALL_KEYS = frozenset(
+    f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)
+) | {"data", "n_validation"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -104,7 +98,7 @@ def _parse_conv(text: str) -> tuple[int, int]:
         raise ConfigError(f"cannot parse convolution {text.strip()!r}: {err}") from err
 
 
-def _parse_blocks(text: str, projection_depth: int) -> tuple[BlockSpec, ...]:
+def _parse_blocks(text: str) -> tuple[BlockSpec, ...]:
     text = text.strip()
     if not text or text == "none":
         return ()
@@ -115,8 +109,7 @@ def _parse_blocks(text: str, projection_depth: int) -> tuple[BlockSpec, ...]:
             part, single_text = part.split("+", 1)
             single = _parse_conv(single_text)
         multi = tuple(_parse_conv(p) for p in part.split(",") if p.strip())
-        blocks.append(BlockSpec(multi_scale=multi, single_scale=single,
-                                skip_projection_depth=projection_depth))
+        blocks.append(BlockSpec(multi_scale=multi, single_scale=single))
     return tuple(blocks)
 
 
@@ -130,10 +123,11 @@ def _render_blocks(blocks: tuple[BlockSpec, ...]) -> str:
     return " | ".join(parts) if parts else "none"
 
 
-def _convert(values: dict[str, str], key: str, kind, default):
-    if key not in values:
-        return default
-    raw = values[key]
+def _parse_value(key: str, raw: str, kind):
+    if kind == tuple[BlockSpec, ...]:
+        return _parse_blocks(raw)
+    if kind == float | None:
+        return None if raw == "none" else _parse_value(key, raw, float)
     if kind is bool:
         if raw.lower() in ("true", "yes", "1"):
             return True
@@ -146,99 +140,58 @@ def _convert(values: dict[str, str], key: str, kind, default):
         raise ConfigError(f"key {key!r}: {err}") from err
 
 
-def _require(values: dict[str, str], key: str, kind):
-    if key not in values:
-        raise ConfigError(f"missing required key {key!r}")
-    return _convert(values, key, kind, None)
+def _render_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return _render_blocks(value)
+    return str(value)
+
+
+def _from_values(cls, values: dict[str, str], **given):
+    """Build config dataclass ``cls``: a field whose key is in ``values`` is
+    parsed by its type, any other takes ``given`` or else its default."""
+    types = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            given[f.name] = _parse_value(f.name, values[f.name], types[f.name])
+        elif f.name not in given and f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {f.name!r}")
+    return cls(**given)
 
 
 def build_run_config(values: dict[str, str], seed_override: int | None = None) -> RunConfig:
     unknown = sorted(set(values) - _ALL_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
-    kind = _require(values, "kind", str)
-    projection_depth = _convert(values, "skip_projection_depth", int, 96)
-    model = ModelConfig(
-        kind=kind,
-        fc_window=_require(values, "fc_window", int),
-        fc_layers=_require(values, "fc_layers", int),
-        fc_width=_convert(values, "fc_width", int, 455),
-        blocks=_parse_blocks(values.get("blocks", ""), projection_depth),
-        skip_connections=_convert(values, "skip_connections", bool, False),
-        conditioned=_convert(values, "conditioned", bool, False),
-        dropout_rate=_convert(values, "dropout_rate", float, 0.4),
-        fc_max_norm=_convert(values, "fc_max_norm", float, 0.150),
-    )
+    model = _from_values(ModelConfig, values)
     model.validate()
-    if seed_override is not None:
-        seed = seed_override
-    elif "seed" in values:
-        seed = _convert(values, "seed", int, 0)
-    elif os.environ.get(SEED_ENV_VAR):
+    # seed order: --seed, the file's seed, $CHAINCNN_SEED, the field default
+    if seed_override is None and "seed" not in values and os.environ.get(SEED_ENV_VAR):
         try:
-            seed = int(os.environ[SEED_ENV_VAR])
+            seed_override = int(os.environ[SEED_ENV_VAR])
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV_VAR}: {err}") from err
-    else:
-        seed = 0
-    lr_init, lr_factor, lr_every = schedule_for(kind)
-    target_raw = values.get("target_q8", "none")
-    training = TrainConfig(
-        lr_init=_convert(values, "lr_init", float, lr_init),
-        lr_decay_factor=_convert(values, "lr_decay_factor", float, lr_factor),
-        lr_decay_every=_convert(values, "lr_decay_every", int, lr_every),
-        max_iterations=_require(values, "max_iterations", int),
-        batch_size=_convert(values, "batch_size", int, 50),
-        sampling_rate_init=_convert(values, "sampling_rate_init", float, 0.4),
-        sampling_rate_increment=_convert(values, "sampling_rate_increment", float, 0.1),
-        sampling_rate_every=_convert(values, "sampling_rate_every", int, 750000),
-        eval_every=_convert(values, "eval_every", int, 1000),
-        patience=_convert(values, "patience", int, 10),
-        seed=seed,
-        log_every=_convert(values, "log_every", int, 100),
-        target_q8=None if target_raw == "none" else _convert(values, "target_q8", float, None),
-    )
+    if seed_override is not None:
+        values = {**values, "seed": str(seed_override)}
+    lr_init, lr_decay_factor, lr_decay_every = schedule_for(model.kind)
+    training = _from_values(TrainConfig, values, lr_init=lr_init,
+                            lr_decay_factor=lr_decay_factor, lr_decay_every=lr_decay_every)
     training.validate()
-    return RunConfig(
-        model=model,
-        training=training,
-        data_dir=values.get("data") or None,
-        n_validation=_convert(values, "n_validation", int, 256),
-    )
+    return _from_values(RunConfig, values, model=model, training=training,
+                        data_dir=values.get("data") or None)
 
 
 def render_config(run: RunConfig) -> str:
     """Serialize a RunConfig so that re-parsing yields an equal config."""
-    m, t = run.model, run.training
-    lines = [
-        f"kind = {m.kind}",
-        f"fc_window = {m.fc_window}",
-        f"fc_layers = {m.fc_layers}",
-        f"fc_width = {m.fc_width}",
-        f"blocks = {_render_blocks(m.blocks)}",
-        f"skip_connections = {str(m.skip_connections).lower()}",
-        f"skip_projection_depth = {m.blocks[0].skip_projection_depth if m.blocks else 96}",
-        f"conditioned = {str(m.conditioned).lower()}",
-        f"dropout_rate = {m.dropout_rate!r}",
-        f"fc_max_norm = {m.fc_max_norm!r}",
-        f"lr_init = {t.lr_init!r}",
-        f"lr_decay_factor = {t.lr_decay_factor!r}",
-        f"lr_decay_every = {t.lr_decay_every}",
-        f"max_iterations = {t.max_iterations}",
-        f"batch_size = {t.batch_size}",
-        f"sampling_rate_init = {t.sampling_rate_init!r}",
-        f"sampling_rate_increment = {t.sampling_rate_increment!r}",
-        f"sampling_rate_every = {t.sampling_rate_every}",
-        f"eval_every = {t.eval_every}",
-        f"patience = {t.patience}",
-        f"seed = {t.seed}",
-        f"log_every = {t.log_every}",
-        f"target_q8 = {'none' if t.target_q8 is None else repr(t.target_q8)}",
-        f"n_validation = {run.n_validation}",
-    ]
+    pairs = [(f.name, getattr(section, f.name))
+             for section in (run.model, run.training) for f in dataclasses.fields(section)]
+    pairs.append(("n_validation", run.n_validation))
     if run.data_dir:
-        lines.append(f"data = {run.data_dir}")
-    return "\n".join(lines) + "\n"
+        pairs.append(("data", run.data_dir))
+    return "".join(f"{key} = {_render_value(value)}\n" for key, value in pairs)
 
 
 def shipped_config_names() -> list[str]:

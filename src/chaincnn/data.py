@@ -41,14 +41,8 @@ class ColumnMap:
     labels: tuple[int, int] = (22, 31)
     pssm: tuple[int, int] = (35, 56)
 
-    def __post_init__(self):
-        for name, (lo, hi), width in (
-            ("residue_onehot", self.residue_onehot, 21),
-            ("labels", self.labels, NUM_CLASSES),
-            ("pssm", self.pssm, NUM_PSSM),
-        ):
-            if hi - lo != width or lo < 0 or hi > SOURCE_COLUMNS:
-                raise ParameterError(f"column range {name}={lo, hi} must span {width} columns")
+
+COLUMNS = ColumnMap()
 
 
 @dataclass(frozen=True)
@@ -165,13 +159,13 @@ def load_npy(path: str) -> np.ndarray:
 # record decoding
 
 
-def decode_record(row: np.ndarray, cmap: ColumnMap = ColumnMap(), rid: str = "r0") -> ProteinRecord:
+def decode_record(row: np.ndarray, rid: str = "r0") -> ProteinRecord:
     """Decode one [700, 57] source row into a ProteinRecord."""
     if row.shape != (SEQ_LEN, SOURCE_COLUMNS):
         raise ShapeError(f"record {rid}: source row shape {row.shape}")
-    onehot = row[:, cmap.residue_onehot[0] : cmap.residue_onehot[1]]
-    label_block = row[:, cmap.labels[0] : cmap.labels[1]]
-    pssm = row[:, cmap.pssm[0] : cmap.pssm[1]]
+    onehot = row[:, COLUMNS.residue_onehot[0] : COLUMNS.residue_onehot[1]]
+    label_block = row[:, COLUMNS.labels[0] : COLUMNS.labels[1]]
+    pssm = row[:, COLUMNS.pssm[0] : COLUMNS.pssm[1]]
     labels = label_block.argmax(axis=1).astype(np.int64)  # ties pick the lowest index
     mask = labels != NOSEQ_CLASS
     length = int(mask.sum())
@@ -185,18 +179,18 @@ def decode_record(row: np.ndarray, cmap: ColumnMap = ColumnMap(), rid: str = "r0
     return ProteinRecord(id=rid, features=features, labels=labels, mask=mask, length=length)
 
 
-def encode_record(rec: ProteinRecord, cmap: ColumnMap = ColumnMap()) -> np.ndarray:
+def encode_record(rec: ProteinRecord) -> np.ndarray:
     """Re-encode a record into the populated columns of a [700, 57] row."""
     row = np.zeros((SEQ_LEN, SOURCE_COLUMNS), dtype=np.float32)
-    row[:, cmap.residue_onehot[0] : cmap.residue_onehot[1]] = rec.features[:, :21]
+    row[:, COLUMNS.residue_onehot[0] : COLUMNS.residue_onehot[1]] = rec.features[:, :21]
     if rec.labels is None:
         raise ParameterError(f"record {rec.id}: cannot encode without labels")
-    row[np.arange(SEQ_LEN), cmap.labels[0] + rec.labels] = 1.0
-    row[:, cmap.pssm[0] : cmap.pssm[1]] = rec.features[:, 21:]
+    row[np.arange(SEQ_LEN), COLUMNS.labels[0] + rec.labels] = 1.0
+    row[:, COLUMNS.pssm[0] : COLUMNS.pssm[1]] = rec.features[:, 21:]
     return row
 
 
-def records_from_matrix(mat: np.ndarray, cmap: ColumnMap = ColumnMap()) -> list[ProteinRecord]:
+def records_from_matrix(mat: np.ndarray) -> list[ProteinRecord]:
     """Decode an [n, 39900] (or [n, 700, 57]) matrix into records."""
     if mat.ndim == 2:
         if mat.shape[1] != SEQ_LEN * SOURCE_COLUMNS:
@@ -204,7 +198,7 @@ def records_from_matrix(mat: np.ndarray, cmap: ColumnMap = ColumnMap()) -> list[
         mat = mat.reshape(-1, SEQ_LEN, SOURCE_COLUMNS)
     if mat.ndim != 3 or mat.shape[1:] != (SEQ_LEN, SOURCE_COLUMNS):
         raise ShapeError(f"matrix shape {mat.shape} is not [n, 700, 57]")
-    return [decode_record(mat[i], cmap, rid=f"p{i:05d}") for i in range(mat.shape[0])]
+    return [decode_record(mat[i], rid=f"p{i:05d}") for i in range(mat.shape[0])]
 
 
 # ---------------------------------------------------------------------------

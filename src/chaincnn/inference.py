@@ -9,8 +9,9 @@ center: the conv trunk runs as a valid-convolution pyramid that narrows to
 the fc_window columns the head reads, and the head runs once per window.
 The head's matmuls run on blocks of exactly receptive-field-width rows,
 zero-padded, because that is the row count the full forward multiplies per
-record and BLAS rounds other row counts differently; the scores are
-therefore bit-identical to the full forward's, whatever the batch size.
+record and BLAS rounds other row counts differently. For the shipped configs,
+at every batch size, the tests check the scores bit-identical to the full
+forward's; other shapes can differ in the last bits (see ``forward_window``).
 Ensembles average the members' log probabilities per class.
 """
 

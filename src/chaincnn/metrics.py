@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASS_LETTERS, ProteinRecord
+from .data import CLASS_LETTERS
 from .errors import ParameterError, ShapeError
 
 NUM_REAL_CLASSES = 8
@@ -94,19 +94,6 @@ def precision_recall(cm: np.ndarray) -> list[ClassScores]:
         rec = int(cm[c, c]) / int(rows[c]) if rows[c] else None
         out.append(ClassScores(CLASS_LETTERS[c], prec, rec, int(rows[c]) / total))
     return out
-
-
-def class_frequencies(records: list[ProteinRecord]) -> np.ndarray:
-    """Label distribution over masked-in residues; sums to 1."""
-    counts = np.zeros(NUM_REAL_CLASSES, dtype=np.int64)
-    for rec in records:
-        if rec.labels is None:
-            raise ParameterError(f"record {rec.id} has no labels")
-        counts += np.bincount(rec.labels[: rec.length], minlength=NUM_REAL_CLASSES)
-    total = counts.sum()
-    if total == 0:
-        raise ParameterError("no masked-in residues")
-    return counts / total
 
 
 def bootstrap_stderr(pool, subset_size: int, n_draws: int, eval_fn, rng) -> tuple[float, float]:

@@ -4,16 +4,14 @@ import numpy as np
 
 from chaincnn.cli import load_run_config
 from chaincnn.data import (
+    COLUMNS,
     NOSEQ_CLASS,
     NUM_PSSM,
     RESIDUE_ALPHABET,
     SEQ_LEN,
     SOURCE_COLUMNS,
-    ColumnMap,
     ProteinRecord,
 )
-
-CMAP = ColumnMap()
 
 
 def shipped_model(name):
@@ -31,11 +29,11 @@ def source_row(residues, labels, pssm=None, junk_seed=None):
         for lo, hi in ((31, 35), (56, 57)):
             row[:, lo:hi] = rng.random((SEQ_LEN, hi - lo))
     for i, ridx in enumerate(residues):
-        row[i, CMAP.residue_onehot[0] + ridx] = 1.0
-        row[i, CMAP.labels[0] + labels[i]] = 1.0
-    row[n:, CMAP.labels[0] + NOSEQ_CLASS] = 1.0
+        row[i, COLUMNS.residue_onehot[0] + ridx] = 1.0
+        row[i, COLUMNS.labels[0] + labels[i]] = 1.0
+    row[n:, COLUMNS.labels[0] + NOSEQ_CLASS] = 1.0
     if pssm is not None:
-        row[:n, CMAP.pssm[0] : CMAP.pssm[1]] = pssm
+        row[:n, COLUMNS.pssm[0] : COLUMNS.pssm[1]] = pssm
     return row
 
 

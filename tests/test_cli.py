@@ -127,7 +127,12 @@ class TestConfigRoundTrip:
 
     def test_every_field_survives(self):
         run = build_run_config(parse_config_text(TINY_CFG))
-        run = RunConfig(model=run.model,
+        blocks = (BlockSpec(multi_scale=((3, 8), (5, 4)), single_scale=(7, 6)),
+                  BlockSpec(single_scale=(5, 2)))
+        run = RunConfig(model=dataclasses.replace(run.model, blocks=blocks,
+                                                  skip_connections=True,
+                                                  skip_projection_depth=12,
+                                                  conditioned=True),
                         training=TrainConfig(
                             lr_init=0.25, lr_decay_factor=0.125,
                             lr_decay_every=7, max_iterations=9, batch_size=3,
@@ -135,6 +140,10 @@ class TestConfigRoundTrip:
                             sampling_rate_every=11, eval_every=2, patience=4,
                             seed=99, log_every=13, target_q8=0.875),
                         data_dir="/some/where", n_validation=5)
+        for section in (run.model, run.training, run):
+            for f in dataclasses.fields(section):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(section, f.name) != f.default, f.name
         assert build_run_config(parse_config_text(render_config(run))) == run
 
 

@@ -83,7 +83,7 @@ class TestDecodeRecord:
 
     def test_label_tie_picks_lowest_index(self):
         row = source_row([0], [0])
-        row[0, D.ColumnMap().labels[0] + 3] = 1.0  # two equal maxima: classes 0 and 3
+        row[0, D.COLUMNS.labels[0] + 3] = 1.0  # two equal maxima: classes 0 and 3
         rec = D.decode_record(row)
         assert rec.labels[0] == 0
 
@@ -95,7 +95,7 @@ class TestDecodeRecord:
 
     def test_interior_noseq_rejected(self):
         row = source_row([0, 1, 2], [0, 1, 2])
-        lo = D.ColumnMap().labels[0]
+        lo = D.COLUMNS.labels[0]
         row[1, lo : lo + 9] = 0.0
         row[1, lo + D.NOSEQ_CLASS] = 1.0
         with pytest.raises(MalformedRecordError, match="interior"):
@@ -112,8 +112,7 @@ class TestDecodeRecord:
         row = source_row([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], pssm=pssm)
         rec = D.decode_record(row)
         back = D.encode_record(rec)
-        cmap = D.ColumnMap()
-        for lo, hi in (cmap.residue_onehot, cmap.labels, cmap.pssm):
+        for lo, hi in (D.COLUMNS.residue_onehot, D.COLUMNS.labels, D.COLUMNS.pssm):
             np.testing.assert_array_equal(back[:, lo:hi], row[:, lo:hi])
 
     def test_matrix_reshape(self, rng):

@@ -11,7 +11,6 @@ from chaincnn.data import record_from_parts
 from chaincnn.errors import ParameterError, ShapeError
 from chaincnn.metrics import (
     bootstrap_stderr,
-    class_frequencies,
     confusion_matrix,
     precision_recall,
     q8,
@@ -151,19 +150,6 @@ class TestPrecisionRecall:
             row.frequency * row.recall for row in precision_recall(cm) if row.recall is not None
         )
         assert micro == pytest.approx(q8(preds, recs), abs=1e-12)
-
-
-class TestClassFrequencies:
-    def test_sums_to_one(self):
-        recs = rule_corpus(n=6, length=30, seed=5)
-        freqs = class_frequencies(recs)
-        assert abs(freqs.sum() - 1.0) < 1e-9
-
-    def test_hand_fixture(self):
-        rec = make_record("x", "HHEL")
-        freqs = class_frequencies([rec])
-        assert freqs[5] == 0.5 and freqs[2] == 0.25 and freqs[0] == 0.25
-        assert freqs[7] == 0.0
 
 
 class TestBootstrap:

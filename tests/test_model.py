@@ -28,10 +28,9 @@ def small_config(conditioned=False, skip=True):
         fc_window=5,
         fc_layers=2,
         fc_width=32,
-        blocks=(
-            BlockSpec(multi_scale=((3, 8), (5, 8)), single_scale=(5, 8), skip_projection_depth=12),
-        ) * 2,
+        blocks=(BlockSpec(multi_scale=((3, 8), (5, 8)), single_scale=(5, 8)),) * 2,
         skip_connections=skip,
+        skip_projection_depth=12,
         conditioned=conditioned,
         dropout_rate=0.4,
         fc_max_norm=0.15,
@@ -118,6 +117,15 @@ class TestChannelArithmetic:
             ModelConfig(kind="convolutional", fc_window=11, fc_layers=2).validate()
         with pytest.raises(ConfigError):
             ModelConfig(kind="mystery", fc_window=11, fc_layers=2).validate()
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(kind="fully_connected", fc_window=11, fc_layers=2),
+        ModelConfig(kind="convolutional", fc_window=11, fc_layers=2,
+                    blocks=(BlockSpec(multi_scale=((3, 8),)),) * 2, skip_connections=True),
+    ], ids=["fully_connected", "convolutional"])
+    def test_skip_projection_depth_must_be_positive(self, config):
+        with pytest.raises(ConfigError, match="skip projection depth"):
+            dataclasses.replace(config, skip_projection_depth=0).validate()
 
 
 class TestReceptiveField:
