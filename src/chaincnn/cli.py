@@ -3,7 +3,7 @@
 Configs are flat UTF-8 ``key = value`` files (``#`` starts a comment). Every
 key is validated against a fixed schema and unknown keys are rejected.
 ``--set KEY=VALUE`` flags override file values. Exit codes: 0 success,
-1 usage or config error, 2 data error, 3 numerical failure.
+1 usage or config error, 2 data or file-system error, 3 numerical failure.
 
 A data directory holds the training corpus as ``corpus.npy`` (raw source
 matrix) or ``corpus.txt`` (native text format), plus an optional
@@ -48,6 +48,7 @@ from .training import (
     save_checkpoint,
     schedule_for,
     train,
+    write_atomic,
 )
 
 SEED_ENV_VAR = "CHAINCNN_SEED"
@@ -168,17 +169,18 @@ def build_run_config(values: dict[str, str], seed_override: int | None = None) -
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
     model = _from_values(ModelConfig, values)
     model.validate()
-    # seed order: --seed, the file's seed, $CHAINCNN_SEED, the field default
+    lr_init, lr_decay_factor, lr_decay_every = schedule_for(model.kind)
+    training = _from_values(TrainConfig, values, lr_init=lr_init,
+                            lr_decay_factor=lr_decay_factor, lr_decay_every=lr_decay_every)
+    # seed order: --seed, the file's seed, $CHAINCNN_SEED, the field default;
+    # a malformed file seed has already failed above, even under --seed
     if seed_override is None and "seed" not in values and os.environ.get(SEED_ENV_VAR):
         try:
             seed_override = int(os.environ[SEED_ENV_VAR])
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV_VAR}: {err}") from err
     if seed_override is not None:
-        values = {**values, "seed": str(seed_override)}
-    lr_init, lr_decay_factor, lr_decay_every = schedule_for(model.kind)
-    training = _from_values(TrainConfig, values, lr_init=lr_init,
-                            lr_decay_factor=lr_decay_factor, lr_decay_every=lr_decay_every)
+        training = dataclasses.replace(training, seed=seed_override)
     training.validate()
     return _from_values(RunConfig, values, model=model, training=training,
                         data_dir=values.get("data") or None)
@@ -306,8 +308,8 @@ def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
     model.buffers["input_norm.pssm_std"].data[...] = stats.std.astype(np.float32)
     ckpt = train(model, split, run.training, log=print)
     save_checkpoint(ckpt, out_path)
-    with open(out_path + ".cfg", "w", encoding="utf-8") as fh:
-        fh.write(render_config(dataclasses.replace(run, data_dir=data_dir)))
+    sidecar = render_config(dataclasses.replace(run, data_dir=data_dir))
+    write_atomic(out_path + ".cfg", sidecar.encode("utf-8"))
     print(f"wrote {out_path} (iteration {ckpt.iteration}), "
           f"best validation q8 {ckpt.best_validation_q8:.6f}")
     return 0
@@ -422,21 +424,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except NonFiniteError as err:
+    except (ChainCnnError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ConfigError, UsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except DataFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ChainCnnError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        if isinstance(err, NonFiniteError):
+            return 3
+        return 2 if isinstance(err, (DataFormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -87,16 +87,9 @@ class DatasetSplit:
     seed: int
 
 
-@dataclass(frozen=True)
-class Conditioning:
-    """Append one-hot label channels shifted ``shift`` positions rightward."""
-
-    shift: int
-
-
 @dataclass
 class Batch:
-    features: np.ndarray  # [batch, length, 42 or 51] float32
+    features: np.ndarray  # [batch, length, 42] float32
     labels: np.ndarray | None  # [batch, length] int64
     mask: np.ndarray  # [batch, length] float32
 
@@ -270,35 +263,13 @@ def split_records(records, n_val: int = 256, seed: int = 0, test=()) -> DatasetS
     )
 
 
-def conditioning_channels(
-    labels: np.ndarray, shift: int, length: int
-) -> np.ndarray:
-    """One-hot label channels: position j carries label[j - shift].
+def make_batch(records: list[ProteinRecord], length: int = SEQ_LEN) -> Batch:
+    """Stack records into dense [batch, length] arrays.
 
-    Positions whose source index falls before the sequence start carry
-    the no-seq one-hot. ``labels`` indexes [0, 9); returns [length, 9].
-    """
-    out = np.zeros((length, NUM_CLASSES), dtype=np.float32)
-    src = np.arange(length) - shift
-    ch = np.full(length, NOSEQ_CLASS, dtype=np.int64)
-    valid = (src >= 0) & (src < labels.shape[0])
-    ch[valid] = labels[src[valid]]
-    out[np.arange(length), ch] = 1.0
-    return out
-
-
-def make_batch(
-    records: list[ProteinRecord],
-    conditioning: Conditioning | None = None,
-    context_labels: list[np.ndarray] | None = None,
-    length: int = SEQ_LEN,
-) -> Batch:
-    """Stack records into dense arrays, optionally with conditioning channels.
-
-    ``context_labels`` overrides the ground-truth labels feeding the
-    conditioning channels (scheduled sampling); ``length`` may crop the
-    padded buffer, which is loss-equivalent because every model masks
-    padding before its first convolution.
+    ``length`` may crop the padded buffer, which is loss-equivalent because
+    every model masks padding before its first convolution. A conditioned
+    model's label context is not part of the batch: ``Model.label_context``
+    builds it from ``labels`` or from sampled labels.
     """
     if not records:
         raise ParameterError("cannot batch zero records")
@@ -308,21 +279,6 @@ def make_batch(
     has_labels = all(r.labels is not None for r in records)
     labels = np.stack([r.labels[:length] for r in records]) if has_labels else None
     mask = np.stack([r.mask[:length] for r in records]).astype(np.float32)
-    if conditioning is not None:
-        if conditioning.shift < 1:
-            raise ParameterError(f"conditioning shift must be >= 1, got {conditioning.shift}")
-        chans = []
-        for i, r in enumerate(records):
-            ctx = context_labels[i] if context_labels is not None else r.labels
-            if ctx is None:
-                raise ParameterError(f"record {r.id}: conditioning needs labels or a context")
-            ctx = np.asarray(ctx, dtype=np.int64)
-            if ctx.shape[0] < r.length:
-                raise ShapeError(
-                    f"record {r.id}: context covers {ctx.shape[0]} of {r.length} positions"
-                )
-            chans.append(conditioning_channels(ctx, conditioning.shift, length))
-        feats = np.concatenate([feats, np.stack(chans)], axis=2)
     return Batch(features=feats, labels=labels, mask=mask)
 
 

@@ -10,6 +10,11 @@ The head gathers a centered window of trunk features per position and
 runs it through fully-connected layers into 9-class logits (8 structure
 classes plus no-seq, which only padding targets would use).
 
+A next-step conditioned model also takes a label context, one label index
+per position. The model one-hot encodes it into 9 channels appended to the
+42 input features; ``label_context`` shifts a label sequence right by the
+receptive-field radius + 1, so position i's output sees y[i-1] at most.
+
 Padding is inert by construction: the mask zeroes the raw input and
 every block output, so convolutions near a sequence edge see zeros, and
 a record's padded tail can never influence a masked-in position.
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import NUM_CLASSES, NUM_FEATURES, NUM_PSSM
-from .errors import ConfigError, ModeError, ShapeError
+from .data import NOSEQ_CLASS, NUM_CLASSES, NUM_FEATURES, NUM_PSSM
+from .errors import ConfigError, ModeError, ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,6 @@ class BlockSpec:
                 raise ConfigError(f"filter width {width} must be odd and positive")
             if depth < 1:
                 raise ConfigError(f"filter depth {depth} must be positive")
-
-    def max_width(self) -> int:
-        widths = [w for w, _ in self.multi_scale]
-        if self.single_scale:
-            widths.append(self.single_scale[0])
-        return max(widths)
 
 
 @dataclass(frozen=True)
@@ -188,22 +187,60 @@ class Model:
     def receptive_field(self) -> ReceptiveField:
         return receptive_field(self.config)
 
+    def label_context(self, labels: np.ndarray) -> np.ndarray:
+        """The ``forward`` context that conditions on ``labels``.
+
+        Shifts [..., length] label indices right by the conditioning shift
+        (receptive-field radius + 1), filling the front with the no-seq
+        label, so position j carries labels[..., j - shift] and no output
+        can see its own label or a later one.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        shift = self.receptive_field().conditioning_shift
+        out = np.full(labels.shape, NOSEQ_CLASS, dtype=np.int64)
+        out[..., shift:] = labels[..., :-shift]
+        return out
+
     # -- forward passes -------------------------------------------------
+
+    def _with_context(self, features: np.ndarray, context) -> np.ndarray:
+        """[batch, length, 42] features, with the one-hot of a conditioned
+        model's [batch, length] label context appended."""
+        if features.ndim != 3 or features.shape[2] != NUM_FEATURES:
+            raise ShapeError(f"expected [batch, length, {NUM_FEATURES}] features, "
+                             f"got {features.shape}")
+        if not self.config.conditioned:
+            if context is not None:
+                raise ModeError("unconditioned model takes no label context")
+            return features
+        if context is None:
+            raise ModeError("conditioned model needs a label context")
+        context = np.asarray(context, dtype=np.int64)
+        if context.shape != features.shape[:2]:
+            raise ShapeError(f"label context shape {context.shape} != {features.shape[:2]}")
+        if context.size and (context.min() < 0 or context.max() >= NUM_CLASSES):
+            raise ParameterError(f"label context indices must lie in [0, {NUM_CLASSES})")
+        chans = np.zeros(features.shape[:2] + (NUM_CLASSES,), dtype=np.float32)
+        b_idx, p_idx = np.indices(context.shape)
+        chans[b_idx, p_idx, context] = 1.0
+        return np.concatenate([features, chans], axis=2)
 
     def forward(
         self,
         features: np.ndarray,
         mask: np.ndarray,
+        context: np.ndarray | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> T.Tensor:
-        """Per-position logits [batch, length, 9]."""
-        features = np.asarray(features, dtype=np.float32)
-        if features.ndim != 3 or features.shape[2] != self.config.input_channels:
-            raise ShapeError(
-                f"expected [batch, length, {self.config.input_channels}] features, "
-                f"got {features.shape}"
-            )
+        """Per-position logits [batch, length, 9].
+
+        features: [batch, length, 42] raw features. A conditioned model also
+        takes ``context``: [batch, length] label indices (0..8), one per
+        position, one-hot encoded into the conditioning channels as they
+        are. ``label_context`` builds it from a label sequence.
+        """
+        features = self._with_context(np.asarray(features, dtype=np.float32), context)
         h = self._trunk(T.Tensor(features), mask, train, rng, valid=False)
         return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
 
@@ -275,11 +312,10 @@ class Model:
     ) -> np.ndarray:
         """Log probabilities at the center of a receptive-field-sized window.
 
-        features: [width, 42] or [batch, width, 42] raw (unconditioned)
-        features; mask marks real positions inside the window; for
-        conditioned models ``context`` gives, per window position, the
-        already-shifted label index (0..8) to one-hot into the
-        conditioning channels. Returns [9] or [batch, 9] float64.
+        features: [width, 42] or [batch, width, 42] raw features; mask
+        marks real positions inside the window; for conditioned models
+        ``context`` gives, per window position, the already-shifted label
+        index (0..8), as in ``forward``. Returns [9] or [batch, 9] float64.
 
         Only what the center logit depends on is computed. The trunk runs
         as a valid-convolution pyramid (for ``chained``: 43 -> 35 -> 27 ->
@@ -310,15 +346,7 @@ class Model:
             raise ShapeError(
                 f"window length {features.shape[1]} != receptive field width {width}"
             )
-        if self.config.conditioned:
-            if context is None:
-                raise ModeError("conditioned model needs a label context")
-            chans = np.zeros(features.shape[:2] + (NUM_CLASSES,), dtype=np.float32)
-            b_idx, p_idx = np.indices(features.shape[:2])
-            chans[b_idx, p_idx, np.asarray(context, dtype=np.int64)] = 1.0
-            features = np.concatenate([features, chans], axis=2)
-        elif context is not None:
-            raise ModeError("unconditioned model takes no label context")
+        features = self._with_context(features, context)
         trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
         n = trunk.shape[0]
         rows = np.zeros((-(-n // width) * width, trunk[0].size), dtype=np.float32)

@@ -4,13 +4,14 @@ fully connected layers, early stopping on validation Q8, and binary
 checkpoint persistence.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 import chaincnn.tensor as T
-from .data import Conditioning, DatasetSplit, make_batch
+from .data import NOSEQ_CLASS, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
 from .inference import beam_search, step_scores
 from .metrics import q8 as metrics_q8
@@ -127,15 +128,13 @@ def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray
 def evaluate_q8(model, records, batch_size: int = 50) -> float:
     """Per-position argmax Q8 in infer mode.
 
-    Conditioned models are scored teacher-forced (ground-truth conditioning
-    channels), which is the cheap next-step accuracy used for early stopping;
-    unconditioned models this is exactly independent decoding.
+    Conditioned models are scored teacher-forced, with
+    ``model.label_context`` of the ground-truth labels as context, which is
+    the cheap next-step accuracy used for early stopping; for unconditioned
+    models this is exactly independent decoding.
     """
     if not records:
         raise ParameterError("cannot evaluate over zero records")
-    conditioning = None
-    if model.config.conditioned:
-        conditioning = Conditioning(model.receptive_field().conditioning_shift)
     correct = 0
     total = 0
     for start in range(0, len(records), batch_size):
@@ -143,8 +142,9 @@ def evaluate_q8(model, records, batch_size: int = 50) -> float:
         length = max(r.length for r in chunk)
         if length == 0:
             continue
-        batch = make_batch(chunk, conditioning=conditioning, length=length)
-        logits = model.forward(batch.features, batch.mask, train=False).data
+        batch = make_batch(chunk, length=length)
+        context = model.label_context(batch.labels) if model.config.conditioned else None
+        logits = model.forward(batch.features, batch.mask, context).data
         pred = logits[..., :8].argmax(axis=2)
         hits = batch.mask > 0
         correct += int(np.count_nonzero((pred == batch.labels) & hits))
@@ -193,7 +193,7 @@ def checkpoint_from_model(model, adam=None, iteration: int = 0,
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary format: magic, version, tensor count, named float32 tensors
     (sorted by name), then the iteration counter and best validation Q8.
-    All integers little-endian.
+    All integers little-endian. The file is replaced atomically.
     """
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", ckpt.version, len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
@@ -207,8 +207,22 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.astype("<f4", copy=False).tobytes())
     chunks.append(struct.pack("<Qd", ckpt.iteration, ckpt.best_validation_q8))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so a process that dies mid-write leaves
+    the previous file whole. A write that raises removes its temporary."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -307,9 +321,6 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
     params = model.trainable()
     adam = T.AdamState.for_params(params)
     conditioned = model.config.conditioned
-    conditioning = None
-    if conditioned:
-        conditioning = Conditioning(model.receptive_field().conditioning_shift)
 
     snapshots: list[Checkpoint] = []
     best = float("-inf")
@@ -321,12 +332,14 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
         rate = sampling_rate_at(step, config) if conditioned else 0.0
         context = None
         if conditioned:
-            context = scheduled_sampling_pass(model, records, rate, rng)
-        batch = make_batch(records, conditioning=conditioning,
-                           context_labels=context, length=length)
+            mixed = np.full((len(records), length), NOSEQ_CLASS, dtype=np.int64)
+            for row, sampled in zip(mixed, scheduled_sampling_pass(model, records, rate, rng)):
+                row[: len(sampled)] = sampled
+            context = model.label_context(mixed)
+        batch = make_batch(records, length=length)
         for t in params.values():
             t.grad = None
-        logits = model.forward(batch.features, batch.mask, train=True, rng=rng)
+        logits = model.forward(batch.features, batch.mask, context, train=True, rng=rng)
         loss = T.softmax_cross_entropy(logits, batch.labels, batch.mask)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):

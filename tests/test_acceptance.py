@@ -19,7 +19,6 @@ import chaincnn.tensor as T
 from chaincnn.cli import main
 from chaincnn.data import (
     DatasetSplit,
-    conditioning_channels,
     load_npy,
     record_from_parts,
     save_native,
@@ -251,16 +250,14 @@ def test_04_receptive_field_and_causality():
         occlusion_ok += (out[0, q] == base[0, q]).all()
 
     cond = build(shipped_model("chained"), np.random.default_rng(2))
-    context = record.labels[:length]
-    chans = conditioning_channels(context, rf.conditioning_shift, crop)
-    base = cond.forward(np.concatenate([feats, chans], axis=1)[None], mask[None]).data
+    context = record.labels[:crop]  # no-seq past the record's end
+    base = cond.forward(feats[None], mask[None], cond.label_context(context[None])).data
     causality_ok = 0
     for _ in range(100):
         i = int(rng.integers(0, length))
         future = context.copy()
-        future[i:] = rng.integers(0, 8, size=length - i)
-        chans = conditioning_channels(future, rf.conditioning_shift, crop)
-        out = cond.forward(np.concatenate([feats, chans], axis=1)[None], mask[None]).data
+        future[i:length] = rng.integers(0, 8, size=length - i)
+        out = cond.forward(feats[None], mask[None], cond.label_context(future[None])).data
         causality_ok += (out[0, i] == base[0, i]).all()
 
     elapsed = time.time() - start

@@ -195,6 +195,19 @@ class TestSeedResolution:
         with pytest.raises(ConfigError):
             load_run_config(tiny_cfg, [])
 
+    def test_bad_seed_fails_under_flag(self):
+        with pytest.raises(ConfigError, match="seed"):
+            load_run_config("chained", ["seed=abc"], 3)
+
+    def test_bad_file_seed_under_flag_exit_1(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "bad_seed.cfg"
+        path.write_text(TINY_CFG + "seed = abc\n")
+        code = main(["train", "--config", str(path), "--data", data_dir,
+                     "--out", str(tmp_path / "m.ckpt"), "--seed", "3"])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_set_overrides(self, tiny_cfg):
         run = load_run_config(tiny_cfg, ["batch_size=2", "dropout_rate=0.0"])
         assert run.training.batch_size == 2 and run.model.dropout_rate == 0.0
@@ -226,6 +239,31 @@ class TestTrainCommand:
         b = run_train(tmp_path, tiny_cfg, data_dir, "b.ckpt")
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_out_in_missing_directory_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir,
+                     "--out", str(tmp_path / "missing" / "m.ckpt")])
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+
+    def test_failed_sidecar_write_keeps_previous_exit_2(self, tmp_path, tiny_cfg, data_dir,
+                                                        monkeypatch, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        before = Path(out + ".cfg").read_bytes()
+        replace = os.replace
+
+        def crash_on_sidecar(src, dst):
+            if str(dst).endswith(".cfg"):
+                raise OSError("simulated crash before the rename")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_sidecar)
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir,
+                     "--out", out, "--seed", "4"])
+        assert code == 2
+        assert "simulated" in capsys.readouterr().err
+        assert Path(out + ".cfg").read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_numerical_blowup_exit_3(self, tmp_path, tiny_cfg, data_dir, capsys):
         code = main(["train", "--config", tiny_cfg, "--data", data_dir,

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import chaincnn.data as D
 from chaincnn.errors import DataFormatError, MalformedRecordError, ParameterError
@@ -220,46 +219,6 @@ class TestMakeBatch:
         assert batch.labels.shape == (3, 700)
         assert batch.mask.shape == (3, 700)
         assert batch.mask[0, :30].all() and not batch.mask[0, 30:].any()
-
-    def test_conditioned_channel_count(self):
-        recs = rule_corpus(n=2, length=30, seed=0)
-        batch = D.make_batch(recs, conditioning=D.Conditioning(shift=22))
-        assert batch.features.shape == (2, 700, 51)
-
-    def test_shift_arithmetic(self):
-        recs = rule_corpus(n=1, length=30, seed=0)
-        label0 = recs[0].labels[0]
-        batch = D.make_batch(recs, conditioning=D.Conditioning(shift=22))
-        cond = batch.features[0, :, 42:]
-        # positions before the shift see the no-seq one-hot
-        np.testing.assert_array_equal(cond[:22, D.NOSEQ_CLASS], 1.0)
-        assert cond[:22, :8].sum() == 0
-        # position 22 carries the one-hot of label 0
-        assert cond[22, label0] == 1.0 and cond[22].sum() == 1.0
-        # position 29 carries label 7's class
-        assert cond[29, recs[0].labels[7]] == 1.0
-
-    def test_context_override(self):
-        recs = rule_corpus(n=1, length=10, seed=0)
-        ctx = [np.full(10, 3, dtype=np.int64)]
-        batch = D.make_batch(recs, conditioning=D.Conditioning(shift=2), context_labels=ctx)
-        cond = batch.features[0, :, 42:]
-        np.testing.assert_array_equal(cond[2:12, 3], 1.0)
-
-    @given(k=st.integers(0, 9))
-    def test_causality_of_conditioning(self, k):
-        recs = rule_corpus(n=1, length=10, seed=1)
-        shift = 3
-        base = D.make_batch(recs, conditioning=D.Conditioning(shift=shift))
-        mutated = [recs[0].labels.copy()]
-        mutated[0][k] = (mutated[0][k] + 1) % 8
-        changed = D.make_batch(
-            recs, conditioning=D.Conditioning(shift=shift), context_labels=mutated
-        )
-        cutoff = k + shift
-        np.testing.assert_array_equal(
-            base.features[0, :cutoff], changed.features[0, :cutoff]
-        )
 
     def test_cropped_length(self):
         recs = rule_corpus(n=2, length=30, seed=0)

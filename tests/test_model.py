@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import chaincnn.tensor as T
-from chaincnn.data import NUM_CLASSES, Conditioning, make_batch
-from chaincnn.errors import ConfigError, ModeError, ShapeError
+from chaincnn.data import NOSEQ_CLASS, NUM_CLASSES, make_batch
+from chaincnn.errors import ConfigError, ModeError, ParameterError, ShapeError
 from chaincnn.inference import extract_window
 from chaincnn.model import (
     BlockSpec,
@@ -37,6 +37,13 @@ def small_config(conditioned=False, skip=True):
     )
 
 
+def window_config(fc_window):
+    """A conditioned block-free model: its receptive field is the fc_window,
+    so its conditioning shift is (fc_window + 1) // 2."""
+    return ModelConfig(kind="fully_connected", fc_window=fc_window, fc_layers=1,
+                       fc_width=8, conditioned=True)
+
+
 SHIPPED = tuple(f"ablation_row{i}" for i in range(1, 10)) + ("chained",)
 
 
@@ -45,10 +52,7 @@ def window_oracle(model, features, mask, context=None):
     SAME-padded ``forward`` over each window, log-softmaxed at the center.
     Same signature as ``Model.forward_window``, so tests can patch it in."""
     features = np.asarray(features, dtype=np.float32)
-    if context is not None:
-        onehot = np.eye(NUM_CLASSES, dtype=np.float32)[np.asarray(context, dtype=np.int64)]
-        features = np.concatenate([features, onehot], axis=2)
-    logits = model.forward(features, np.asarray(mask, dtype=np.float32)).data
+    logits = model.forward(features, np.asarray(mask, dtype=np.float32), context).data
     return T.log_softmax(logits[:, features.shape[1] // 2])
 
 
@@ -180,9 +184,24 @@ class TestForward:
     def test_channel_mismatch_rejected(self, rng):
         model = build(small_config(conditioned=True), np.random.default_rng(3))
         recs = rule_corpus(n=1, length=10, seed=0)
-        batch = make_batch(recs)  # unconditioned: 42 channels
-        with pytest.raises(ShapeError):
+        batch = make_batch(recs)  # 42 feature channels, no label context
+        with pytest.raises(ModeError):
             model.forward(batch.features, batch.mask)
+        # features with the conditioning channels already appended
+        wide = np.zeros(batch.features.shape[:2] + (51,), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            model.forward(wide, batch.mask, model.label_context(batch.labels))
+
+    def test_context_errors(self):
+        plain = build(small_config(), np.random.default_rng(1))
+        cond = build(small_config(conditioned=True), np.random.default_rng(1))
+        batch = make_batch(rule_corpus(n=1, length=10, seed=0), length=16)
+        with pytest.raises(ModeError):
+            plain.forward(batch.features, batch.mask, batch.labels)
+        with pytest.raises(ShapeError):
+            cond.forward(batch.features, batch.mask, batch.labels[:, :15])
+        with pytest.raises(ParameterError):
+            cond.forward(batch.features, batch.mask, batch.labels - 1)
 
     @pytest.mark.parametrize("row", range(1, 10))
     def test_every_ablation_row_runs(self, row):
@@ -248,21 +267,75 @@ class TestLocality:
 
     def test_conditioned_causality_bitwise(self):
         model = build(small_config(conditioned=True), np.random.default_rng(7))
-        shift = model.receptive_field().conditioning_shift
         recs = rule_corpus(n=1, length=40, seed=2)
-        base = make_batch(recs, conditioning=Conditioning(shift), length=48)
-        out_base = self._infer_logits(model, base.features, base.mask)
+        batch = make_batch(recs, length=48)
+        out_base = model.forward(batch.features, batch.mask,
+                                 model.label_context(batch.labels)).data
         # the label at q surfaces at channel position q + shift, which must land
         # on a real residue: padding is masked before the first convolution
         for q in (12, 20, 28):
-            mutated = [recs[0].labels.copy()]
-            mutated[0][q] = (mutated[0][q] + 3) % 8
-            batch = make_batch(
-                recs, conditioning=Conditioning(shift), context_labels=mutated, length=48
-            )
-            out = self._infer_logits(model, batch.features, batch.mask)
+            mutated = batch.labels.copy()
+            mutated[0, q] = (mutated[0, q] + 3) % 8
+            out = model.forward(batch.features, batch.mask, model.label_context(mutated)).data
             np.testing.assert_array_equal(out[0, :q + 1], out_base[0, :q + 1])
             assert not np.array_equal(out[0], out_base[0])
+
+
+class TestLabelContext:
+    """``Model.label_context`` shifts labels right by the conditioning shift
+    behind a no-seq prefix; ``forward`` one-hot encodes the result."""
+
+    def test_shift_arithmetic(self):
+        model = build(shipped_model("chained"), np.random.default_rng(0))
+        assert model.receptive_field().conditioning_shift == 22
+        recs = rule_corpus(n=1, length=30, seed=0)
+        label0 = recs[0].labels[0]
+        ctx = model.label_context(make_batch(recs).labels)[0]
+        assert ctx.shape == (700,)
+        # positions before the shift see the no-seq label
+        np.testing.assert_array_equal(ctx[:22], NOSEQ_CLASS)
+        # position 22 carries label 0
+        assert ctx[22] == label0
+        # position 29 carries label 7's class
+        assert ctx[29] == recs[0].labels[7]
+
+    def test_context_override(self):
+        model = build(window_config(3), np.random.default_rng(0))  # shift 2
+        # a sampled context for a 10-residue record, padded with no-seq the
+        # way the training loop pads it
+        mixed = np.full((1, 12), NOSEQ_CLASS, dtype=np.int64)
+        mixed[0, :10] = 3
+        np.testing.assert_array_equal(model.label_context(mixed)[0, 2:12], 3)
+
+    def test_shorter_than_shift(self):
+        model = build(window_config(5), np.random.default_rng(0))  # shift 3
+        np.testing.assert_array_equal(model.label_context([[1, 2]]), [[NOSEQ_CLASS] * 2])
+
+    @given(k=st.integers(0, 9))
+    def test_causality_of_conditioning(self, k):
+        model = build(window_config(5), np.random.default_rng(0))  # shift 3
+        batch = make_batch(rule_corpus(n=1, length=10, seed=1), length=16)
+        mutated = batch.labels.copy()
+        mutated[0, k] = (mutated[0, k] + 1) % 8
+        base, changed = model.label_context(batch.labels), model.label_context(mutated)
+        cutoff = k + 3
+        np.testing.assert_array_equal(base[0, :cutoff], changed[0, :cutoff])
+        out_base = model.forward(batch.features, batch.mask, base).data
+        out = model.forward(batch.features, batch.mask, changed).data
+        np.testing.assert_array_equal(out[0, : k + 1], out_base[0, : k + 1])
+
+    def test_forward_appends_one_hot_channels(self):
+        model = build(window_config(1), np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((2, 6, 42)).astype(np.float32)
+        mask = np.ones((2, 6), dtype=np.float32)
+        ctx = rng.integers(0, NUM_CLASSES, (2, 6))
+        x = np.concatenate([feats, np.eye(NUM_CLASSES, dtype=np.float32)[ctx]], axis=2)
+        fc, out = model.layers["fc1"], model.layers["output"]
+        hidden = np.maximum(x @ fc.weights.data + fc.biases.data, 0.0)
+        want = hidden @ out.weights.data + out.biases.data
+        np.testing.assert_allclose(model.forward(feats, mask, ctx).data, want,
+                                   rtol=1e-5, atol=1e-6)
 
 
 class TestForwardWindow:
@@ -296,8 +369,8 @@ class TestForwardWindow:
         model = build(small_config(conditioned=True), np.random.default_rng(12))
         rf = model.receptive_field()
         rec = rule_corpus(n=1, length=50, seed=4)[0]
-        batch = make_batch([rec], conditioning=Conditioning(rf.conditioning_shift), length=64)
-        full = model.forward(batch.features, batch.mask).data
+        batch = make_batch([rec], length=64)
+        full = model.forward(batch.features, batch.mask, model.label_context(batch.labels)).data
         for center in (0, 17, 49):
             feats, mask, ctx = self._window_inputs(
                 rec, center, rf.radius, conditioned_shift=rf.conditioning_shift

@@ -1,5 +1,6 @@
 """Schedules, scheduled sampling, the training loop, and checkpoint format."""
 
+import os
 import struct
 
 import numpy as np
@@ -247,6 +248,23 @@ class TestCheckpointFormat:
         ckpt = Checkpoint({"x": np.zeros(2, dtype=np.float64)}, 0, 0.0)
         with pytest.raises(CheckpointError):
             save_checkpoint(ckpt, tmp_path / "x.ckpt")
+
+    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, adam = self._model_and_adam()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(checkpoint_from_model(model, adam, 1, 0.5), path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(checkpoint_from_model(model, adam, 2, 0.75), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).iteration == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     @pytest.fixture()
     def valid_bytes(self, tmp_path):
