@@ -1,18 +1,21 @@
 """Decoding: independent argmax, width-8 beam search, and log-prob ensembles.
 
-Beam search, scheduled sampling and rescoring score position i through
-``step_scores``: each (record, label context) row becomes the
-receptive-field window around i, and ``Model.forward_window`` scores the
-stacked windows. Nothing outside the window can reach the center logit, so
-this equals the full forward at i. ``forward_window`` computes only that
-center: the conv trunk runs as a valid-convolution pyramid that narrows to
-the fc_window columns the head reads, and the head runs once per window.
+Beam search and rescoring score position i through ``step_scores``: each
+(record, label context) row becomes the receptive-field window around i,
+and ``Model.forward_window`` scores the stacked windows. Nothing outside
+the window can reach the center logit, so this equals the full forward at
+i. ``forward_window`` computes only that center: the conv trunk runs as a
+valid-convolution pyramid that narrows to the fc_window columns the head
+reads, and the head runs once per window.
 The head's matmuls run on blocks of exactly receptive-field-width rows,
 zero-padded, because that is the row count the full forward multiplies per
 record and BLAS rounds other row counts differently. For the shipped configs,
 at every batch size, the tests check the scores bit-identical to the full
 forward's; other shapes can differ in the last bits (see ``forward_window``).
-Ensembles average the members' log probabilities per class.
+Scheduled sampling does not score here: ``model.Stepper`` steps its whole
+batch with one new column per layer per position, and the tests check its
+scores equal to this window path's. Ensembles average the members' log
+probabilities per class.
 """
 
 from dataclasses import dataclass
@@ -118,8 +121,9 @@ def step_scores(members, rows, i: int) -> np.ndarray:
     Builds each row's receptive-field window and conditioning context,
     stacks them, and scores the whole batch with one ``ensemble_step_score``
     call, so every member runs one window forward per position. Returns
-    [len(rows), 8] float64. Beam search, rescoring and scheduled sampling
-    all score through here.
+    [len(rows), 8] float64. Beam search and rescoring score through here;
+    it is also the reference that ``model.Stepper``, which scores scheduled
+    sampling, is tested against.
     """
     rf = members[0].receptive_field()
     feats, masks, contexts = [], [], []

@@ -323,17 +323,14 @@ class Model:
         position major, are exactly the center's ``gather_windows`` row. The
         head then runs once per window, not once per window position.
 
-        ``forward`` over the window, center kept, is the reference. That
-        forward's head multiplies one record's [width, n_in] rows per BLAS
-        call, and BLAS rounds differently for other row counts (one row goes
-        to gemv, small products to a small-matrix kernel). So the center rows
-        are stacked into blocks of exactly ``width`` rows, the last block
-        zero-padded, and each head matmul runs on whole blocks. For the
-        shipped configs the tests check the result bit-identical to the
-        reference. The cropped trunk convolutions can still round differently
-        from SAME ones for other shapes (a depth like 3, or a pyramid that
-        narrows to one column), so there the match is only to float32
-        rounding.
+        ``forward`` over the window, center kept, is the reference. The
+        center rows go through the head in zero-padded blocks of exactly
+        ``width`` rows (``_score_rows``), so that BLAS rounds them as it
+        rounds that forward's head. For the shipped configs the tests check
+        the result bit-identical to the reference. The cropped trunk
+        convolutions can still round differently from SAME ones for other
+        shapes (a depth like 3, or a pyramid that narrows to one column), so
+        there the match is only to float32 rounding.
         """
         features = np.asarray(features, dtype=np.float32)
         squeeze = features.ndim == 2
@@ -348,12 +345,186 @@ class Model:
             )
         features = self._with_context(features, context)
         trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
-        n = trunk.shape[0]
-        rows = np.zeros((-(-n // width) * width, trunk[0].size), dtype=np.float32)
-        rows[:n] = trunk.reshape(n, -1)
-        logits = self._head(T.Tensor(rows.reshape(-1, width, rows.shape[1])), False, None)
-        center = T.log_softmax(logits.data.reshape(-1, NUM_CLASSES)[:n])
+        center = self._score_rows(trunk.reshape(trunk.shape[0], -1))
         return center[0] if squeeze else center
+
+    def _score_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
+        fc_window trunk columns, flattened window-position major.
+
+        ``forward`` multiplies one record's [width, n_in] rows per head BLAS
+        call, and BLAS rounds other row counts differently (one row goes to
+        gemv, small products to a small-matrix kernel). So the rows run in
+        blocks of exactly receptive-field-width rows, the last block
+        zero-padded. ``forward_window`` and ``Stepper`` both score here.
+        """
+        width = self.receptive_field().width
+        n = rows.shape[0]
+        blocks = np.zeros((-(-n // width) * width, rows.shape[1]), dtype=np.float32)
+        blocks[:n] = rows
+        logits = self._head(T.Tensor(blocks.reshape(-1, width, rows.shape[1])), False, None)
+        return T.log_softmax(logits.data.reshape(-1, NUM_CLASSES)[:n])
+
+
+class _Queue:
+    """The last ``size`` [rows, channels] columns pushed, in a ring. Columns
+    not yet pushed read as zeros, as masked positions do."""
+
+    def __init__(self, size: int, rows: int, channels: int):
+        self.columns = np.zeros((size, rows, channels), dtype=np.float32)
+        self.pushed = 0
+
+    def push(self, column: np.ndarray) -> None:
+        self.columns[self.pushed % len(self.columns)] = column
+        self.pushed += 1
+
+    def back(self, k: int) -> np.ndarray:
+        """The column pushed ``k`` pushes ago; 0 is the newest."""
+        return self.columns[(self.pushed - 1 - k) % len(self.columns)]
+
+
+class Stepper:
+    """Scores a conditioned model over a batch one position at a time.
+
+    Label y[i-1] enters only input column i + radius, so scoring position
+    i needs one new column per conv layer and one head row on top of what
+    earlier positions computed: the queue cache of Paine et al. 2016, "Fast
+    Wavenet Generation Algorithm". Each conv reads a queue of its input's
+    last columns, a skip projection reads its block's input queue, and the
+    head reads the last fc_window trunk columns. Queues start as zeros,
+    which is what the masked positions before a record hold. Construction
+    pushes input columns 0..radius-1 with a no-seq context; each ``push``
+    then scores the next position.
+
+    The scores are bit-identical to ``Model.forward_window`` over the same
+    windows for the shipped configs (the tests check every one):
+    - each conv tap is a 2-D [rows, in] @ [in, out] matmul added onto a
+      copy of the bias in tap order, as in ``tensor.cropped_conv1d``, over
+      2 to 128 rows, because BLAS rounds a row differently when it sends
+      a single row to gemv or a large product to its blocked kernel;
+    - batch norm, ReLU and the mask use the infer-mode expressions of
+      ``tensor.batch_norm``, ``relu`` and ``apply_mask``;
+    - the head scores through ``Model._score_rows``, like ``forward_window``.
+    """
+
+    def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
+        """features: [n, length, 42] raw features; mask: [n, length]."""
+        cfg = model.config
+        if not cfg.conditioned:
+            raise ModeError("stepping needs a next-step conditioned model")
+        features = np.asarray(features, dtype=np.float32)
+        mask = np.asarray(mask, dtype=np.float32)
+        if features.ndim != 3 or features.shape[2] != NUM_FEATURES:
+            raise ShapeError(f"expected [n, length, {NUM_FEATURES}] features, "
+                             f"got {features.shape}")
+        if mask.shape != features.shape[:2]:
+            raise ShapeError(f"mask shape {mask.shape} != {features.shape[:2]}")
+        self.model = model
+        self.n, length = mask.shape
+        rows = max(self.n, 2)  # one row would go to gemv
+        # Past ~1e6 multiply-adds sgemm leaves its small-matrix kernel, which
+        # every window-path trunk matmul of the shipped configs runs in, so
+        # the conv taps run on even blocks of at most 128 rows (never 1).
+        blocks = -(-rows // 128)
+        self._row_blocks = [(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
+        radius = model.receptive_field().radius
+        # columns up to length - 1 + radius get pushed; past the buffer they are masked
+        self._features = np.zeros((rows, length + radius, NUM_FEATURES), dtype=np.float32)
+        self._features[: self.n, :length] = features
+        self._mask = np.zeros((rows, length + radius), dtype=np.float32)
+        self._mask[: self.n, :length] = mask
+        self._column = 0
+
+        def norm(name):
+            lp = model.layers[name]
+            inv = 1.0 / np.sqrt(lp.extra["running_var"].data + np.float32(T.BN_EPS))
+            return lp.extra["running_mean"].data, inv, lp.weights.data, lp.biases.data
+
+        plans = _block_channels(cfg)
+        self._blocks = []  # per block: [(input queue, convs, norm stats, delay)], skip
+        for k, (b, plan) in enumerate(zip(cfg.blocks, plans), start=1):
+            stages = []
+            if b.multi_scale:
+                convs = [model.layers[f"block{k}.multi{i}"] for i in range(len(b.multi_scale))]
+                width = max(w for w, _ in b.multi_scale)
+                stages.append((width, plan["in"], convs, f"block{k}.multi_norm"))
+            if b.single_scale:
+                stages.append((b.single_scale[0], plan["concat"],
+                               [model.layers[f"block{k}.single"]], f"block{k}.single_norm"))
+            skip = model.layers.get(f"block{k}.skip")
+            # the skip projection reads the block input at the block's output position
+            sizes = [w for w, *_ in stages]
+            if skip is not None:
+                sizes[0] = max(sizes[0], sum(w // 2 for w in sizes) + 1)
+            self._blocks.append(([
+                (_Queue(size, rows, channels), convs, norm(name), width // 2)
+                for size, (width, channels, convs, name) in zip(sizes, stages)
+            ], skip))
+        trunk_out = plans[-1]["out"] if plans else cfg.input_channels
+        self._head_queue = _Queue(cfg.fc_window, rows, trunk_out)
+        no_seq = np.full(self.n, NOSEQ_CLASS, dtype=np.int64)
+        for _ in range(radius):
+            self._advance(no_seq)
+
+    def push(self, labels: np.ndarray) -> np.ndarray:
+        """Log probabilities [n, 9] float64 at the next position i, given
+        the [n] labels y[i-1] (the no-seq label for i = 0) that condition it."""
+        self._advance(labels)
+        fc_window = self.model.config.fc_window
+        rows = [self._head_queue.back(fc_window - 1 - t)[: self.n] for t in range(fc_window)]
+        return self.model._score_rows(np.concatenate(rows, axis=1))
+
+    def _advance(self, labels) -> None:
+        """Push input column i + radius with context ``labels`` through the trunk."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (self.n,):
+            raise ShapeError(f"expected {self.n} labels, got shape {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
+            raise ParameterError(f"label context indices must lie in [0, {NUM_CLASSES})")
+        col = self._column
+        self._column += 1
+        x = np.zeros((len(self._mask), self.model.config.input_channels), dtype=np.float32)
+        x[:, :NUM_FEATURES] = self._features[:, col]
+        x[np.arange(self.n), NUM_FEATURES + labels] = 1.0
+        h = x * self._mask[:, col, None]
+        for stages, skip in self._blocks:
+            h, col = self._block(stages, skip, h, col)
+        self._head_queue.push(h)
+
+    def _block(self, stages, skip, h: np.ndarray, col: int):
+        """A block's newest output column and its position, given the newest
+        input column ``h`` at position ``col``."""
+        start = col
+        for queue, convs, stats, delay in stages:
+            queue.push(h)
+            col -= delay
+            h = np.concatenate([self._conv(lp, queue, delay) for lp in convs], axis=1)
+            h = self._norm_relu(h, stats, col)
+        if skip is not None:
+            proj = self._conv(skip, stages[0][0], start - col)
+            h = np.concatenate([h, proj], axis=1) * self._mask_at(col)
+        return h, col
+
+    def _conv(self, lp: T.LayerParams, queue: _Queue, at: int) -> np.ndarray:
+        """The conv's output column centered ``at`` columns behind the newest."""
+        filt = lp.weights.data
+        width = filt.shape[0]
+        acc = np.broadcast_to(lp.biases.data, (queue.columns.shape[1], filt.shape[2])).copy()
+        for w in range(width):
+            x = queue.back(at + width // 2 - w)
+            for lo, hi in self._row_blocks:
+                acc[lo:hi] += x[lo:hi] @ filt[w]
+        return acc
+
+    def _norm_relu(self, x: np.ndarray, stats, col: int) -> np.ndarray:
+        mean, inv, scale, shift = stats
+        xhat = (x - mean) * inv
+        return np.maximum(xhat * scale + shift, 0.0) * self._mask_at(col)
+
+    def _mask_at(self, col: int) -> np.ndarray:
+        if col < 0:
+            return np.zeros((len(self._mask), 1), dtype=np.float32)
+        return self._mask[:, col, None]
 
 
 def build(config: ModelConfig, rng: np.random.Generator) -> Model:

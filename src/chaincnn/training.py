@@ -13,9 +13,9 @@ import numpy as np
 import chaincnn.tensor as T
 from .data import NOSEQ_CLASS, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
-from .inference import beam_search, step_scores
+from .inference import NUM_REAL_CLASSES, beam_search
 from .metrics import q8 as metrics_q8
-from .model import Model
+from .model import Model, Stepper
 
 CHECKPOINT_MAGIC = b"CCNN"
 CHECKPOINT_VERSION = 1
@@ -93,12 +93,15 @@ def sampling_rate_at(step: int, config: TrainConfig) -> float:
 def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray]:
     """Mix ground-truth labels with the model's own samples at ``rate``.
 
-    Walks each sequence left to right; at position i the model scores the
-    receptive-field window using the already-mixed context, a label is drawn
-    from the renormalized 8-class softmax, and the context entry becomes the
-    draw with probability ``rate``, else the ground truth. Returns one mixed
-    context per record. ``rate`` 0 short-circuits to the ground truth without
-    evaluating the model.
+    Walks the sequences left to right together; at position i the model
+    scores every record conditioned on its already-mixed context y[i-1], a
+    label is drawn from the renormalized 8-class softmax for each record
+    with i < length, and the context entry becomes the draw with
+    probability ``rate``, else the ground truth. One ``model.Stepper`` over
+    the batch scores each position with one new column per layer; its
+    scores equal ``inference.step_scores`` bit for bit. Returns one mixed
+    context per record. ``rate`` 0 short-circuits to the ground truth
+    without evaluating the model.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"sampling rate must lie in [0, 1], got {rate}")
@@ -107,21 +110,27 @@ def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray
         if r.labels is None:
             raise ParameterError(f"record {r.id} has no labels to sample against")
         contexts.append(r.labels[: r.length].copy())
-    if rate == 0.0:
-        return contexts
     max_len = max((r.length for r in records), default=0)
+    if rate == 0.0 or max_len == 0:
+        return contexts
+    stepper = Stepper(model, np.stack([r.features[:max_len] for r in records]),
+                      np.stack([r.mask[:max_len] for r in records]))
+    previous = np.full(len(records), NOSEQ_CLASS, dtype=np.int64)
     for i in range(max_len):
+        scores = stepper.push(previous)
         rows = [k for k, r in enumerate(records) if i < r.length]
-        s8 = step_scores((model,), [(records[k], contexts[k]) for k in rows], i)
+        s8 = scores[rows, :NUM_REAL_CLASSES]
         probs = np.exp(s8 - s8.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         cdf[:, -1] = 1.0
         draws = (rng.random(len(rows))[:, None] > cdf).sum(axis=1)
         mix = rng.random(len(rows)) < rate
+        previous[:] = NOSEQ_CLASS
         for j, k in enumerate(rows):
             if mix[j]:
                 contexts[k][i] = draws[j]
+            previous[k] = contexts[k][i]
     return contexts
 
 

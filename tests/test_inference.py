@@ -22,6 +22,7 @@ from chaincnn.tensor import log_softmax
 from chaincnn.training import scheduled_sampling_pass
 from corpus import rule_corpus
 from test_model import conditioned_shipped, randomized_stats_model, small_config, window_oracle
+from test_training import window_sampling_pass
 
 
 def brute_force_decode(members, record):
@@ -285,24 +286,25 @@ class TestBatchRowStability:
 
 
 class TestDecodersMatchOracle:
-    """Beam search, rescoring and scheduled sampling give bit-identical
-    results whether windows are scored by ``forward_window`` or by the full
-    forward over the window."""
+    """Beam search and rescoring give bit-identical results whether windows
+    are scored by ``forward_window`` or by the full forward over the window,
+    and scheduled sampling's stepper mixes the same contexts as the
+    window-path reference loop scored by that full forward."""
 
     def test_patched_oracle_changes_nothing(self, monkeypatch):
         chained = conditioned_shipped("chained")
         ensemble = Ensemble((chained, randomized_stats_model(chained.config, 42)))
         records = rule_corpus(n=2, length=14, seed=21) + rule_corpus(n=1, length=9, seed=22)
 
-        def decode():
+        def decode(sampling_pass):
             labels = [beam_search(ensemble, r) for r in records]
             log_probs = [sequence_log_prob(ensemble, r, y) for r, y in zip(records, labels)]
-            contexts = scheduled_sampling_pass(chained, records, 0.7, np.random.default_rng(5))
+            contexts = sampling_pass(chained, records, 0.7, np.random.default_rng(5))
             return labels, log_probs, contexts
 
-        fast = decode()
+        fast = decode(scheduled_sampling_pass)
         monkeypatch.setattr(Model, "forward_window", window_oracle)
-        slow = decode()
+        slow = decode(window_sampling_pass)
         for a, b in zip(fast[0] + fast[2], slow[0] + slow[2]):
             np.testing.assert_array_equal(a, b)
         assert fast[1] == slow[1]

@@ -5,16 +5,17 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chaincnn.tensor as T
 from chaincnn.data import NOSEQ_CLASS, NUM_CLASSES, make_batch
 from chaincnn.errors import ConfigError, ModeError, ParameterError, ShapeError
-from chaincnn.inference import extract_window
+from chaincnn.inference import context_window, extract_window
 from chaincnn.model import (
     BlockSpec,
     Model,
     ModelConfig,
+    Stepper,
     build,
     parameter_count,
     receptive_field,
@@ -452,6 +453,84 @@ class TestForwardWindowMatchesOracle:
             np.testing.assert_array_equal(
                 model.forward_window(feats, mask, ctx), window_oracle(model, feats, mask, ctx)
             )
+
+
+class TestStepperMatchesWindowPath:
+    """``Stepper`` scores every position bit-identically to ``forward_window``
+    over the stacked ``extract_window``/``context_window`` windows, for every
+    shipped architecture made conditioned, at head row counts around the
+    receptive-field-width blocks and with records that are empty, shorter
+    than the radius, or longer."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @given(rows=st.sampled_from((1, 2, 8, 43, 44, 50)), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=1)
+    @example(rows=1, seed=0)
+    @example(rows=1, seed=1)
+    @example(rows=1, seed=2)
+    @example(rows=2, seed=1)
+    @example(rows=8, seed=0)
+    @example(rows=43, seed=1)
+    @example(rows=44, seed=2)
+    @example(rows=50, seed=0)
+    def test_every_position(self, name, rows, seed):
+        model = conditioned_shipped(name)
+        rf = model.receptive_field()
+        rng = np.random.default_rng(seed)
+        # record k is empty, shorter than the radius, or longer, by (seed + k) % 3
+        lengths = [
+            (0, int(rng.integers(1, rf.radius)), int(rng.integers(rf.radius, rf.radius + 12)))[
+                (seed + k) % 3]
+            for k in range(rows)
+        ]
+        self._check(model, lengths, rng, seed % 1000, every_position=rows <= 8)
+
+    def test_large_batch(self):
+        # 260 rows in one matmul would leave sgemm's small-matrix kernel
+        model = conditioned_shipped("chained")
+        rng = np.random.default_rng(5)
+        lengths = [int(n) for n in rng.integers(0, 40, size=260)]
+        self._check(model, lengths, rng, 0, every_position=False)
+
+    @staticmethod
+    def _check(model, lengths, rng, corpus_seed, every_position):
+        rf = model.receptive_field()
+        records = [rule_corpus(n=1, length=n, seed=corpus_seed + k)[0]
+                   for k, n in enumerate(lengths)]
+        labels = [rng.integers(0, 8, size=n) for n in lengths]
+        max_len = max(lengths)
+        stepper = Stepper(model, np.stack([r.features[:max_len] for r in records]),
+                          np.stack([r.mask[:max_len] for r in records]))
+        # the window path costs a pyramid per row: check a sample of positions at large batches
+        checked = set(range(max_len)) if every_position else (
+            set(rng.choice(max_len, size=min(max_len, 6), replace=False)) | {0, max_len - 1})
+        for i in range(max_len):
+            previous = [y[i - 1] if 0 < i <= len(y) else NOSEQ_CLASS for y in labels]
+            got = stepper.push(np.array(previous))
+            if i not in checked:
+                continue
+            feats, masks = zip(*(extract_window(r, i, rf.radius) for r in records))
+            ctx = [context_window(y, i, rf.radius, rf.conditioning_shift, len(y))
+                   for y in labels]
+            np.testing.assert_array_equal(
+                got, model.forward_window(np.stack(feats), np.stack(masks), np.stack(ctx)))
+
+    def test_errors(self):
+        plain = build(small_config(), np.random.default_rng(1))
+        cond = build(small_config(conditioned=True), np.random.default_rng(1))
+        feats = np.zeros((3, 10, 42), dtype=np.float32)
+        mask = np.ones((3, 10), dtype=np.float32)
+        with pytest.raises(ModeError):
+            Stepper(plain, feats, mask)
+        with pytest.raises(ShapeError):
+            Stepper(cond, feats[..., :41], mask)
+        with pytest.raises(ShapeError):
+            Stepper(cond, feats, mask[:, :9])
+        stepper = Stepper(cond, feats, mask)
+        with pytest.raises(ShapeError):
+            stepper.push(np.zeros(2, dtype=np.int64))
+        with pytest.raises(ParameterError):
+            stepper.push(np.array([0, 9, 1]))
 
 
 class TestAblationTable:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import chaincnn.tensor as T
 from chaincnn.data import DatasetSplit
 from chaincnn.errors import CheckpointError, NonFiniteError, ParameterError
-from chaincnn.inference import decode_independent
+from chaincnn.inference import decode_independent, step_scores
 from chaincnn.model import BlockSpec, ModelConfig, build
 from chaincnn.training import (
     Checkpoint,
@@ -27,7 +27,7 @@ from chaincnn.training import (
     train,
 )
 from corpus import markov_corpus, rule_corpus
-from test_model import small_config
+from test_model import conditioned_shipped, small_config
 
 FC = TrainConfig(lr_init=4e-4, lr_decay_factor=0.5, lr_decay_every=35000,
                  max_iterations=1)
@@ -60,6 +60,26 @@ def tiny_train_config(**overrides):
 def split_of(records, validation=None):
     return DatasetSplit(train=records, validation=validation or records,
                         test=[], seed=0)
+
+
+def window_sampling_pass(model, records, rate, rng):
+    """Reference scheduled sampling: at each position, score the records
+    still running through ``step_scores``, one receptive-field window per
+    record, then draw and mix exactly as ``scheduled_sampling_pass`` does."""
+    contexts = [r.labels[: r.length].copy() for r in records]
+    for i in range(max((r.length for r in records), default=0)):
+        rows = [k for k, r in enumerate(records) if i < r.length]
+        s8 = step_scores((model,), [(records[k], contexts[k]) for k in rows], i)
+        probs = np.exp(s8 - s8.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        cdf[:, -1] = 1.0
+        draws = (rng.random(len(rows))[:, None] > cdf).sum(axis=1)
+        mix = rng.random(len(rows)) < rate
+        for j, k in enumerate(rows):
+            if mix[j]:
+                contexts[k][i] = draws[j]
+    return contexts
 
 
 class TestSchedules:
@@ -167,6 +187,18 @@ class TestScheduledSampling:
             scheduled_sampling_pass(None, recs, -0.1, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             scheduled_sampling_pass(None, recs, 1.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", (0.3, 0.7, 1.0))
+    @pytest.mark.parametrize("name", ("chained", "ablation_row6"))
+    def test_matches_window_path_reference(self, name, rate):
+        model = conditioned_shipped(name)
+        recs = [rule_corpus(n=1, length=n, seed=n)[0] for n in (17, 0, 3, 40, 29)]
+        rng_got, rng_want = np.random.default_rng(31), np.random.default_rng(31)
+        got = scheduled_sampling_pass(model, recs, rate, rng_got)
+        want = window_sampling_pass(model, recs, rate, rng_want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert rng_got.random() == rng_want.random()
 
 
 class TestEvaluateQ8:
