@@ -7,9 +7,9 @@ the window can reach the center logit, so this equals the full forward at
 i. ``forward_window`` computes only that center: the conv trunk runs as a
 valid-convolution pyramid that narrows to the fc_window columns the head
 reads, and the head runs once per window.
-The head's matmuls run on blocks of exactly receptive-field-width rows,
-zero-padded, because that is the row count the full forward multiplies per
-record and BLAS rounds other row counts differently. For the shipped configs,
+The head's matmuls run on even blocks of 16 to 128 rows, fewer than 16
+zero-padded, because BLAS rounds a row as the full forward's per-record head
+does only within that range (``Model._score_rows``). For the shipped configs,
 at every batch size, the tests check the scores bit-identical to the full
 forward's; other shapes can differ in the last bits (see ``forward_window``).
 Scheduled sampling does not score here: ``model.Stepper`` steps its whole

@@ -324,8 +324,8 @@ class Model:
         head then runs once per window, not once per window position.
 
         ``forward`` over the window, center kept, is the reference. The
-        center rows go through the head in zero-padded blocks of exactly
-        ``width`` rows (``_score_rows``), so that BLAS rounds them as it
+        center rows go through the head in blocks of 16 to 128 rows, fewer
+        than 16 zero-padded (``_score_rows``), so that BLAS rounds them as it
         rounds that forward's head. For the shipped configs the tests check
         the result bit-identical to the reference. The cropped trunk
         convolutions can still round differently from SAME ones for other
@@ -352,18 +352,27 @@ class Model:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
         fc_window trunk columns, flattened window-position major.
 
-        ``forward`` multiplies one record's [width, n_in] rows per head BLAS
-        call, and BLAS rounds other row counts differently (one row goes to
-        gemv, small products to a small-matrix kernel). So the rows run in
-        blocks of exactly receptive-field-width rows, the last block
-        zero-padded. ``forward_window`` and ``Stepper`` both score here.
+        ``forward`` multiplies one record's rows per head BLAS call, and
+        sgemm rounds a row alike at any row count within one kernel regime.
+        In every shipped head the fc layers run the blocked kernel from 16
+        rows up and the 9-wide output layer the small-matrix one up to 128,
+        so the rows run in ``_row_blocks`` of 16 to 128 rows, zero-padded.
+        ``forward_window`` and ``Stepper`` both score here.
         """
-        width = self.receptive_field().width
         n = rows.shape[0]
-        blocks = np.zeros((-(-n // width) * width, rows.shape[1]), dtype=np.float32)
-        blocks[:n] = rows
-        logits = self._head(T.Tensor(blocks.reshape(-1, width, rows.shape[1])), False, None)
-        return T.log_softmax(logits.data.reshape(-1, NUM_CLASSES)[:n])
+        blocks = _row_blocks(n, 16)
+        padded = np.zeros((blocks[-1][1], rows.shape[1]), dtype=np.float32)
+        padded[:n] = rows
+        logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data for lo, hi in blocks]
+        return T.log_softmax(np.concatenate(logits)[:n])
+
+
+def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
+    """Even [lo, hi) blocks of at most 128 rows over max(n, floor) rows:
+    the row counts at which sgemm keeps one kernel for a shipped shape."""
+    rows = max(n, floor)
+    blocks = -(-rows // 128)
+    return [(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
 
 
 class _Queue:
@@ -404,7 +413,7 @@ class Stepper:
       a single row to gemv or a large product to its blocked kernel;
     - batch norm, ReLU and the mask use the infer-mode expressions of
       ``tensor.batch_norm``, ``relu`` and ``apply_mask``;
-    - the head scores through ``Model._score_rows``, like ``forward_window``.
+    - the head scores through ``Model._score_rows`` on 16 to 128 rows.
     """
 
     def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
@@ -421,12 +430,8 @@ class Stepper:
             raise ShapeError(f"mask shape {mask.shape} != {features.shape[:2]}")
         self.model = model
         self.n, length = mask.shape
-        rows = max(self.n, 2)  # one row would go to gemv
-        # Past ~1e6 multiply-adds sgemm leaves its small-matrix kernel, which
-        # every window-path trunk matmul of the shipped configs runs in, so
-        # the conv taps run on even blocks of at most 128 rows (never 1).
-        blocks = -(-rows // 128)
-        self._row_blocks = [(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
+        self._row_blocks = _row_blocks(self.n, 2)  # one row would go to gemv
+        rows = self._row_blocks[-1][1]
         radius = model.receptive_field().radius
         # columns up to length - 1 + radius get pushed; past the buffer they are masked
         self._features = np.zeros((rows, length + radius, NUM_FEATURES), dtype=np.float32)

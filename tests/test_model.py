@@ -446,7 +446,10 @@ class TestForwardWindowMatchesOracle:
         model = randomized_stats_model(config, 100 + SHIPPED.index(name))
         width = model.receptive_field().width
         rng = np.random.default_rng(7)
-        for batch in (1, 4, 43, 44, 100):
+        # 15-17 and 128-129 straddle the head's 16-row floor and 128-row
+        # blocks; one 256-row block would leave the output layer's
+        # small-matrix kernel
+        for batch in (1, 4, 15, 16, 17, 43, 44, 100, 128, 129, 256):
             feats = rng.standard_normal((batch, width, 42)).astype(np.float32)
             mask = (rng.random((batch, width)) > 0.2).astype(np.float32)
             ctx = rng.integers(0, NUM_CLASSES, (batch, width)) if config.conditioned else None
@@ -458,18 +461,22 @@ class TestForwardWindowMatchesOracle:
 class TestStepperMatchesWindowPath:
     """``Stepper`` scores every position bit-identically to ``forward_window``
     over the stacked ``extract_window``/``context_window`` windows, for every
-    shipped architecture made conditioned, at head row counts around the
-    receptive-field-width blocks and with records that are empty, shorter
-    than the radius, or longer."""
+    shipped architecture made conditioned, at row counts on both sides of
+    the head's 16-row floor and past one 128-row block, and with records
+    that are empty, shorter than the radius, or longer."""
 
     @pytest.mark.parametrize("name", SHIPPED)
-    @given(rows=st.sampled_from((1, 2, 8, 43, 44, 50)), seed=st.integers(0, 2**31 - 1))
+    @given(rows=st.sampled_from((1, 2, 8, 15, 16, 17, 43, 44, 50)),
+           seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=1)
     @example(rows=1, seed=0)
     @example(rows=1, seed=1)
     @example(rows=1, seed=2)
     @example(rows=2, seed=1)
     @example(rows=8, seed=0)
+    @example(rows=15, seed=2)
+    @example(rows=16, seed=0)
+    @example(rows=17, seed=1)
     @example(rows=43, seed=1)
     @example(rows=44, seed=2)
     @example(rows=50, seed=0)
@@ -514,6 +521,14 @@ class TestStepperMatchesWindowPath:
                    for y in labels]
             np.testing.assert_array_equal(
                 got, model.forward_window(np.stack(feats), np.stack(masks), np.stack(ctx)))
+
+    def test_zero_records(self):
+        model = build(small_config(conditioned=True), np.random.default_rng(1))
+        n_in = model.layers["fc1"].weights.data.shape[0]
+        assert model._score_rows(np.zeros((0, n_in), dtype=np.float32)).shape == (0, NUM_CLASSES)
+        stepper = Stepper(model, np.zeros((0, 10, 42), dtype=np.float32),
+                          np.zeros((0, 10), dtype=np.float32))
+        assert stepper.push(np.zeros(0, dtype=np.int64)).shape == (0, NUM_CLASSES)
 
     def test_errors(self):
         plain = build(small_config(), np.random.default_rng(1))
