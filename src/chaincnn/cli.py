@@ -22,12 +22,10 @@ from importlib import resources
 import numpy as np
 
 from .data import (
-    PssmStats,
-    apply_pssm_stats,
+    compute_pssm_stats,
     labels_to_string,
     load_native,
     load_npy,
-    normalize_pssm,
     records_from_matrix,
     split_records,
 )
@@ -262,15 +260,7 @@ def load_records(data_dir: str):
 
 def prepare_split(run: RunConfig, data_dir: str):
     records, test = load_records(data_dir)
-    return normalize_pssm(
-        split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test))
-
-
-def _model_stats(model) -> PssmStats:
-    return PssmStats(
-        mean=model.buffers["input_norm.pssm_mean"].data.astype(np.float64),
-        std=model.buffers["input_norm.pssm_std"].data.astype(np.float64),
-    )
+    return split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test)
 
 
 def _load_ensemble(paths) -> tuple[Ensemble, RunConfig]:
@@ -302,10 +292,11 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
 def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
     if data_dir is None:
         raise UsageError("no data directory: pass --data or set 'data =' in the config")
-    split, stats = prepare_split(run, data_dir)
+    split = prepare_split(run, data_dir)
     model = build(run.model, np.random.default_rng(run.training.seed))
-    model.buffers["input_norm.pssm_mean"].data[...] = stats.mean.astype(np.float32)
-    model.buffers["input_norm.pssm_std"].data[...] = stats.std.astype(np.float32)
+    mean, std = compute_pssm_stats(split.train)
+    model.buffers["input_norm.pssm_mean"].data[...] = mean
+    model.buffers["input_norm.pssm_std"].data[...] = std
     ckpt = train(model, split, run.training, log=print)
     save_checkpoint(ckpt, out_path)
     sidecar = render_config(dataclasses.replace(run, data_dir=data_dir))
@@ -333,7 +324,6 @@ def cmd_eval(args) -> int:
     else:
         chosen = split_records(records, n_val=run.n_validation,
                                seed=run.training.seed).validation
-    chosen = apply_pssm_stats(chosen, _model_stats(ensemble.members[0]))
     preds = _decode_all(ensemble, chosen, args.beam_width)
     report = render_report(q8(preds, chosen), confusion_matrix(preds, chosen),
                            digits=None if args.raw else 3)
@@ -344,7 +334,6 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ensemble, _ = _load_ensemble(args.ckpt)
     records = load_native(args.input)
-    records = apply_pssm_stats(records, _model_stats(ensemble.members[0]))
     preds = _decode_all(ensemble, records, args.beam_width)
     with open(args.output, "w", encoding="utf-8") as fh:
         for record, pred in zip(records, preds):

@@ -1,11 +1,15 @@
-"""Protein record decoding, feature normalization, splits, and batching.
+"""Protein record decoding, PSSM statistics, splits, and batching.
 
 Source matrices carry one protein per row: 700 positions times 57
 columns. Each record keeps a 42-feature encoding per position (21
-residue one-hot columns plus 21 PSSM columns), the 8-class structure
+residue one-hot columns plus 21 raw PSSM columns), the 8-class structure
 labels (class 8 marks no-sequence padding), and a prefix-contiguous
 mask of real positions. A plain text fixture format mirrors the same
 content for small corpora and prediction inputs.
+
+Records stay raw from load through training, evaluation and prediction:
+each model standardizes the PSSM columns of its input with the training
+statistics stored in its own buffers (``apply_pssm_stats``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import ast
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +53,9 @@ COLUMNS = ColumnMap()
 class ProteinRecord:
     """One protein, padded to exactly SEQ_LEN positions.
 
-    features: [700, 42] float32; labels: [700] int64 with 8 at padding;
-    mask: [700] bool, True for the leading ``length`` real positions.
+    features: [700, 42] float32, residue one-hot then raw PSSM columns;
+    labels: [700] int64 with 8 at padding; mask: [700] bool, True for the
+    leading ``length`` real positions.
     ``labels`` may be None for prediction-only inputs.
     """
 
@@ -92,12 +97,6 @@ class Batch:
     features: np.ndarray  # [batch, length, 42] float32
     labels: np.ndarray | None  # [batch, length] int64
     mask: np.ndarray  # [batch, length] float32
-
-
-@dataclass(frozen=True)
-class PssmStats:
-    mean: np.ndarray  # [21] float64
-    std: np.ndarray  # [21] float64, 1.0 where the column was constant
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +194,21 @@ def records_from_matrix(mat: np.ndarray) -> list[ProteinRecord]:
 
 
 # ---------------------------------------------------------------------------
-# PSSM normalization
+# PSSM standardization
 
 
-def compute_pssm_stats(records: list[ProteinRecord]) -> PssmStats:
-    """Per-column mean and population std over masked-in positions."""
+def compute_pssm_stats(records: list[ProteinRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population std [21] over masked-in positions.
+
+    Both come back rounded to float32, the precision a model's
+    ``input_norm.*`` buffers hold them at. A constant column gets std 1.0,
+    so it is centered without scaling.
+    """
     cols = np.concatenate([r.features[: r.length, 21:] for r in records], axis=0)
     if cols.size == 0:
         raise ParameterError("cannot compute PSSM statistics over zero positions")
-    mean = cols.mean(axis=0, dtype=np.float64)
-    std = cols.astype(np.float64).std(axis=0)
+    mean = cols.mean(axis=0, dtype=np.float64).astype(np.float32)
+    std = cols.astype(np.float64).std(axis=0).astype(np.float32)
     constant = std == 0.0
     if constant.any():
         warnings.warn(
@@ -212,40 +216,20 @@ def compute_pssm_stats(records: list[ProteinRecord]) -> PssmStats:
             RuntimeWarning,
             stacklevel=2,
         )
-        std = np.where(constant, 1.0, std)
-    return PssmStats(mean=mean, std=std)
+        std[constant] = 1.0
+    return mean, std
 
 
-def apply_pssm_stats(records: list[ProteinRecord], stats: PssmStats) -> list[ProteinRecord]:
-    """Standardize PSSM columns at masked-in positions; padding stays raw."""
-    out = []
-    for r in records:
-        feats = r.features.copy()
-        feats[: r.length, 21:] = (
-            (feats[: r.length, 21:] - stats.mean) / stats.std
-        ).astype(np.float32)
-        out.append(replace(r, features=feats))
-    return out
+def apply_pssm_stats(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """A float32 copy of [..., 42] features with the PSSM columns 21: standardized.
 
-
-def normalize_pssm(split: DatasetSplit) -> tuple[DatasetSplit, PssmStats]:
-    """Standardize all splits with statistics from the training records.
-
-    The statistics are rounded to float32, the precision a checkpoint stores
-    them at, so training and later evaluation normalize bit-identically.
+    ``mean`` and ``std`` are a model's float32 [21] buffers, widened to
+    float64 for the arithmetic. Every position is standardized, padding
+    too; the model's input mask zeroes the padding afterwards.
     """
-    raw = compute_pssm_stats(split.train)
-    stats = PssmStats(mean=raw.mean.astype(np.float32).astype(np.float64),
-                      std=raw.std.astype(np.float32).astype(np.float64))
-    return (
-        DatasetSplit(
-            train=apply_pssm_stats(split.train, stats),
-            validation=apply_pssm_stats(split.validation, stats),
-            test=apply_pssm_stats(split.test, stats),
-            seed=split.seed,
-        ),
-        stats,
-    )
+    out = np.array(features, dtype=np.float32)
+    out[..., 21:] = (out[..., 21:] - mean.astype(np.float64)) / std.astype(np.float64)
+    return out
 
 
 # ---------------------------------------------------------------------------

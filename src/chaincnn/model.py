@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import NOSEQ_CLASS, NUM_CLASSES, NUM_FEATURES, NUM_PSSM
+from .data import NOSEQ_CLASS, NUM_CLASSES, NUM_FEATURES, NUM_PSSM, apply_pssm_stats
 from .errors import ConfigError, ModeError, ParameterError, ShapeError
 
 
@@ -203,12 +203,19 @@ class Model:
 
     # -- forward passes -------------------------------------------------
 
+    def _standardized(self, features: np.ndarray) -> np.ndarray:
+        """Raw [..., 42] features with the PSSM columns standardized by this
+        model's own buffers."""
+        return apply_pssm_stats(features, self.buffers["input_norm.pssm_mean"].data,
+                                self.buffers["input_norm.pssm_std"].data)
+
     def _with_context(self, features: np.ndarray, context) -> np.ndarray:
-        """[batch, length, 42] features, with the one-hot of a conditioned
-        model's [batch, length] label context appended."""
+        """Raw [batch, length, 42] features, standardized, with the one-hot
+        of a conditioned model's [batch, length] label context appended."""
         if features.ndim != 3 or features.shape[2] != NUM_FEATURES:
             raise ShapeError(f"expected [batch, length, {NUM_FEATURES}] features, "
                              f"got {features.shape}")
+        features = self._standardized(features)
         if not self.config.conditioned:
             if context is not None:
                 raise ModeError("unconditioned model takes no label context")
@@ -235,7 +242,9 @@ class Model:
     ) -> T.Tensor:
         """Per-position logits [batch, length, 9].
 
-        features: [batch, length, 42] raw features. A conditioned model also
+        features: [batch, length, 42] raw features; the model standardizes
+        their PSSM columns with its ``input_norm.*`` buffers and masks the
+        padding before the first layer. A conditioned model also
         takes ``context``: [batch, length] label indices (0..8), one per
         position, one-hot encoded into the conditioning channels as they
         are. ``label_context`` builds it from a label sequence.
@@ -402,8 +411,10 @@ class Stepper:
     last columns, a skip projection reads its block's input queue, and the
     head reads the last fc_window trunk columns. Queues start as zeros,
     which is what the masked positions before a record hold. Construction
-    pushes input columns 0..radius-1 with a no-seq context; each ``push``
-    then scores the next position.
+    standardizes the raw features' PSSM columns with the model's
+    ``input_norm.*`` buffers, as ``Model.forward`` does, and pushes input
+    columns 0..radius-1 with a no-seq context; each ``push`` then scores
+    the next position.
 
     The scores are bit-identical to ``Model.forward_window`` over the same
     windows for the shipped configs (the tests check every one):
@@ -435,7 +446,7 @@ class Stepper:
         radius = model.receptive_field().radius
         # columns up to length - 1 + radius get pushed; past the buffer they are masked
         self._features = np.zeros((rows, length + radius, NUM_FEATURES), dtype=np.float32)
-        self._features[: self.n, :length] = features
+        self._features[: self.n, :length] = model._standardized(features)
         self._mask = np.zeros((rows, length + radius), dtype=np.float32)
         self._mask[: self.n, :length] = mask
         self._column = 0

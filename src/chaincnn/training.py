@@ -277,9 +277,11 @@ def load_checkpoint(path) -> Checkpoint:
 def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
     """Copy checkpoint values into a built model (and optimizer) in place.
 
-    The checkpoint's tensor names must match the model's exactly; Adam
-    moments are restored when ``adam`` is given, with its step counter set
-    to the checkpoint iteration.
+    The checkpoint's tensor names must match the model's exactly, and its
+    PSSM statistics must be usable, because every forward standardizes its
+    input with them: ``input_norm.pssm_mean`` finite, ``input_norm.pssm_std``
+    finite and positive. Adam moments are restored when ``adam`` is given,
+    with its step counter set to the checkpoint iteration.
     """
     stored = {n for n in ckpt.tensors if not n.startswith(("adam.m.", "adam.v."))}
     expected = model.named_tensors()
@@ -289,6 +291,12 @@ def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
         raise CheckpointError(
             f"parameter names do not match the model: missing {missing}, unexpected {surplus}"
         )
+    if not np.isfinite(ckpt.tensors["input_norm.pssm_mean"]).all():
+        raise CheckpointError("tensor 'input_norm.pssm_mean' has a non-finite entry")
+    std = ckpt.tensors["input_norm.pssm_std"]
+    if not (np.isfinite(std) & (std > 0)).all():
+        raise CheckpointError("tensor 'input_norm.pssm_std' has an entry that is not "
+                              "finite and positive")
     for name, tensor in expected.items():
         arr = ckpt.tensors[name]
         if arr.shape != tensor.data.shape:

@@ -20,7 +20,7 @@ from chaincnn.data import save_native, string_to_labels
 from chaincnn.errors import ConfigError
 from chaincnn.metrics import q8
 from chaincnn.model import BlockSpec
-from chaincnn.training import TrainConfig, load_checkpoint, schedule_for
+from chaincnn.training import TrainConfig, load_checkpoint, save_checkpoint, schedule_for
 from corpus import markov_corpus, rule_corpus, shipped_model, source_row
 
 TINY_CFG = """\
@@ -319,6 +319,42 @@ class TestEvalCommand:
         with open(out, "r+b") as fh:
             fh.truncate(20)
         assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
+
+    def test_zero_pssm_std_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        ckpt = load_checkpoint(out)
+        ckpt.tensors["input_norm.pssm_std"][0] = 0.0
+        save_checkpoint(ckpt, out)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
+        assert "input_norm.pssm_std" in capsys.readouterr().err
+
+    def test_ensemble_ignores_ckpt_order(self, tmp_path, tiny_cfg, data_dir, capsys):
+        """Members trained on corpora with different PSSM statistics each
+        standardize with their own, so ``--ckpt`` order changes nothing."""
+        shifted = tmp_path / "shifted"
+        shifted.mkdir()
+        records = rule_corpus(n=8, length=30, seed=1)
+        for r in records:
+            r.features[:, 21:] = r.features[:, 21:] * 3 + 5
+        save_native(records, str(shifted / "corpus.txt"))
+        a = run_train(tmp_path, tiny_cfg, data_dir, name="a.ckpt")
+        b = run_train(tmp_path, tiny_cfg, str(shifted), name="b.ckpt")
+        assert not np.array_equal(load_checkpoint(a).tensors["input_norm.pssm_mean"],
+                                  load_checkpoint(b).tensors["input_norm.pssm_mean"])
+        fixture = str(tmp_path / "in.txt")
+        save_native(rule_corpus(n=4, length=25, seed=6), fixture)
+        reports, predictions = [], []
+        for order in ([a, b], [b, a]):
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", *order, "--data", data_dir, "--raw"]) == 0
+            reports.append(capsys.readouterr().out)
+            dest = tmp_path / f"preds_{len(predictions)}.txt"
+            assert main(["predict", "--ckpt", *order, "--input", fixture,
+                         "--output", str(dest)]) == 0
+            predictions.append(dest.read_bytes())
+        assert reports[0] == reports[1]
+        assert predictions[0] == predictions[1]
 
 
 class TestPredictCommand:

@@ -1,4 +1,4 @@
-"""Data layer: NPY parsing, record decoding, normalization, batching."""
+"""Data layer: NPY parsing, record decoding, PSSM statistics, batching."""
 
 import math
 
@@ -136,53 +136,90 @@ class TestNormalizePssm:
     def test_hand_standardization(self):
         recs = self._records_with_column([1.0, 2.0, 3.0])
         with pytest.warns(RuntimeWarning):
-            stats = D.compute_pssm_stats(recs)
-        out = D.apply_pssm_stats(recs, stats)
+            mean, std = D.compute_pssm_stats(recs)
+        out = D.apply_pssm_stats(recs[0].features, mean, std)
         expected = 1.0 / math.sqrt(2.0 / 3.0)
         np.testing.assert_allclose(
-            out[0].features[:3, 21], [-expected, 0.0, expected], rtol=1e-4, atol=1e-6
+            out[:3, 21], [-expected, 0.0, expected], rtol=1e-4, atol=1e-6
         )
-        assert stats.std[0] == pytest.approx(math.sqrt(2.0 / 3.0))
+        assert (mean.dtype, std.dtype) == (np.float32, np.float32)
+        assert std[0] == pytest.approx(math.sqrt(2.0 / 3.0))
+        np.testing.assert_array_equal(out[:, :21], recs[0].features[:, :21])
 
     def test_constant_column_centered_unscaled(self):
         recs = self._records_with_column([5.0, 5.0, 5.0])
         with pytest.warns(RuntimeWarning, match="constant"):
-            stats = D.compute_pssm_stats(recs)
-        out = D.apply_pssm_stats(recs, stats)
-        np.testing.assert_array_equal(out[0].features[:3, 21], [0.0, 0.0, 0.0])
+            mean, std = D.compute_pssm_stats(recs)
+        assert std[0] == 1.0
+        out = D.apply_pssm_stats(recs[0].features, mean, std)
+        np.testing.assert_array_equal(out[:3, 21], [0.0, 0.0, 0.0])
 
-    def test_idempotent_within_tolerance(self):
-        recs = rule_corpus(n=4, length=20, seed=3)
-        split = D.DatasetSplit(train=recs, validation=[], test=[], seed=0)
-        once, _ = D.normalize_pssm(split)
-        twice, _ = D.normalize_pssm(once)
-        for a, b in zip(once.train, twice.train):
-            assert np.abs(a.features - b.features).max() < 1e-5
+    def test_train_stats_applied_to_validation(self, tmp_path):
+        """The buffers ``_train_and_save`` writes are the training split's
+        statistics, and the saved model standardizes the raw validation
+        records with them."""
+        from chaincnn.cli import _train_and_save, build_run_config, prepare_split
+        from chaincnn.model import build
+        from chaincnn.training import bind_checkpoint, load_checkpoint
 
-    def test_train_stats_applied_to_validation(self):
-        train = self._records_with_column([1.0, 2.0, 3.0])
-        val = self._records_with_column([4.0, 4.0, 4.0])
-        split = D.DatasetSplit(train=train, validation=val, test=[], seed=0)
-        with pytest.warns(RuntimeWarning):
-            normalized, stats = D.normalize_pssm(split)
-        expected = (4.0 - 2.0) / math.sqrt(2.0 / 3.0)
-        np.testing.assert_allclose(
-            normalized.validation[0].features[:3, 21], expected, rtol=1e-5
-        )
+        records = rule_corpus(n=6, length=10, seed=2)
+        for r in records:
+            r.features[:, 21:] = r.features[:, 21:] * 3 + 5
+        D.save_native(records, str(tmp_path / "corpus.txt"))
+        run = build_run_config({
+            "kind": "fully_connected", "fc_window": "3", "fc_layers": "1", "fc_width": "8",
+            "max_iterations": "2", "batch_size": "2", "eval_every": "1", "n_validation": "2",
+        })
+        out = str(tmp_path / "m.ckpt")
+        assert _train_and_save(run, str(tmp_path), out) == 0
+        split = prepare_split(run, str(tmp_path))
+        cols = np.concatenate([r.features[: r.length, 21:] for r in split.train])
+        mean = cols.astype(np.float64).mean(axis=0).astype(np.float32)
+        std = cols.astype(np.float64).std(axis=0).astype(np.float32)
+        ckpt = load_checkpoint(out)
+        np.testing.assert_array_equal(ckpt.tensors["input_norm.pssm_mean"], mean)
+        np.testing.assert_array_equal(ckpt.tensors["input_norm.pssm_std"], std)
 
-    def test_padding_left_raw(self):
+        model = build(run.model, np.random.default_rng(0))
+        bind_checkpoint(ckpt, model)
+        twin = build(run.model, np.random.default_rng(0))
+        bind_checkpoint(ckpt, twin)
+        twin.buffers["input_norm.pssm_mean"].data[...] = 0.0
+        twin.buffers["input_norm.pssm_std"].data[...] = 1.0
+        batch = D.make_batch(split.validation, length=10)
+        hand = batch.features.copy()
+        hand[..., 21:] = ((hand[..., 21:] - mean.astype(np.float64))
+                          / std.astype(np.float64)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(batch.features, batch.mask).data,
+                                      twin.forward(hand, batch.mask).data)
+
+    def test_padding_stays_inert(self):
+        """Padding is standardized like any position; the model's input
+        mask then zeroes it, so no raw padding value reaches a real position."""
+        from chaincnn.model import ModelConfig, build
+
         recs = self._records_with_column([1.0, 2.0, 3.0])
         with pytest.warns(RuntimeWarning):
-            stats = D.compute_pssm_stats(recs)
-        out = D.apply_pssm_stats(recs, stats)
-        np.testing.assert_array_equal(out[0].features[3:, 21:], recs[0].features[3:, 21:])
+            mean, std = D.compute_pssm_stats(recs)
+        out = D.apply_pssm_stats(recs[0].features, mean, std)
+        np.testing.assert_allclose(out[3:, 21], -2.0 / math.sqrt(2.0 / 3.0), rtol=1e-6)
+        model = build(ModelConfig(kind="fully_connected", fc_window=3, fc_layers=1,
+                                  fc_width=8), np.random.default_rng(0))
+        model.buffers["input_norm.pssm_mean"].data[...] = mean
+        model.buffers["input_norm.pssm_std"].data[...] = std
+        junk = recs[0].features.copy()
+        junk[3:, 21:] = 1e4
+        mask = recs[0].mask[None, :6]
+        np.testing.assert_array_equal(
+            model.forward(recs[0].features[None, :6], mask).data[0, :3],
+            model.forward(junk[None, :6], mask).data[0, :3])
 
     def test_records_not_mutated(self):
         recs = self._records_with_column([1.0, 2.0, 3.0])
         before = recs[0].features.copy()
         with pytest.warns(RuntimeWarning):
-            stats = D.compute_pssm_stats(recs)
-        D.apply_pssm_stats(recs, stats)
+            mean, std = D.compute_pssm_stats(recs)
+        D.apply_pssm_stats(recs[0].features, mean, std)
         np.testing.assert_array_equal(recs[0].features, before)
 
 

@@ -548,6 +548,57 @@ class TestStepperMatchesWindowPath:
             stepper.push(np.array([0, 9, 1]))
 
 
+class TestInputStandardization:
+    def test_model_reads_its_own_pssm_buffers(self):
+        """Raw features through a model with non-trivial ``input_norm.*``
+        buffers score bitwise as hand-standardized features through the same
+        weights with 0/1 buffers, in ``forward``, ``forward_window`` and
+        ``Stepper``."""
+        config = small_config(conditioned=True)
+        model = build(config, np.random.default_rng(5))
+        twin = build(config, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        mean = rng.normal(5.0, 1.0, 21).astype(np.float32)
+        std = rng.uniform(0.2, 3.0, 21).astype(np.float32)
+        model.buffers["input_norm.pssm_mean"].data[...] = mean
+        model.buffers["input_norm.pssm_std"].data[...] = std
+        records = [rule_corpus(n=1, length=n, seed=n)[0] for n in (9, 14, 3)]
+        raw = []
+        for r in records:
+            feats = r.features.copy()
+            feats[:, 21:] = feats[:, 21:] * 3 + 5
+            raw.append(dataclasses.replace(r, features=feats))
+        hand = []
+        for r in raw:
+            feats = r.features.copy()
+            feats[: r.length, 21:] = ((feats[: r.length, 21:] - mean.astype(np.float64))
+                                      / std.astype(np.float64)).astype(np.float32)
+            hand.append(dataclasses.replace(r, features=feats))
+        length = 16
+        batch, hand_batch = make_batch(raw, length), make_batch(hand, length)
+        context = model.label_context(batch.labels)
+        inside = batch.mask > 0
+        np.testing.assert_array_equal(
+            model.forward(batch.features, batch.mask, context).data[inside],
+            twin.forward(hand_batch.features, batch.mask, context).data[inside])
+
+        rf = model.receptive_field()
+        stepper = Stepper(model, batch.features, batch.mask)
+        hand_stepper = Stepper(twin, hand_batch.features, batch.mask)
+        for i in range(length):
+            previous = np.where(i > 0, batch.labels[:, i - 1], NOSEQ_CLASS)
+            np.testing.assert_array_equal(stepper.push(previous), hand_stepper.push(previous))
+            ctx = np.stack([context_window(r.labels, i, rf.radius, rf.conditioning_shift,
+                                           r.length) for r in raw])
+            windows = [extract_window(r, i, rf.radius) for r in raw]
+            hand_windows = [extract_window(r, i, rf.radius) for r in hand]
+            np.testing.assert_array_equal(
+                model.forward_window(np.stack([f for f, _ in windows]),
+                                     np.stack([m for _, m in windows]), ctx),
+                twin.forward_window(np.stack([f for f, _ in hand_windows]),
+                                    np.stack([m for _, m in hand_windows]), ctx))
+
+
 class TestAblationTable:
     def test_row_structure_spot_checks(self):
         assert shipped_model("ablation_row1").kind == "fully_connected"

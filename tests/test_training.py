@@ -268,6 +268,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError):
             bind_checkpoint(ckpt, model)
 
+    @pytest.mark.parametrize("name, value", [
+        ("input_norm.pssm_std", 0.0), ("input_norm.pssm_std", -1.0),
+        ("input_norm.pssm_std", np.inf), ("input_norm.pssm_std", np.nan),
+        ("input_norm.pssm_mean", np.inf), ("input_norm.pssm_mean", np.nan),
+    ])
+    def test_unusable_pssm_stats_rejected(self, name, value):
+        model, adam = self._model_and_adam()
+        ckpt = checkpoint_from_model(model, adam)
+        ckpt.tensors[name][4] = value
+        with pytest.raises(CheckpointError, match=name):
+            bind_checkpoint(ckpt, model)
+
     def test_scalar_and_empty_checkpoints(self, tmp_path):
         ckpt = Checkpoint({"s": np.array(2.5, dtype=np.float32)}, 1, 0.0)
         save_checkpoint(ckpt, tmp_path / "s.ckpt")
