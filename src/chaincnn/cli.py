@@ -263,9 +263,9 @@ def prepare_split(run: RunConfig, data_dir: str):
     return split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test)
 
 
-def _load_ensemble(paths) -> tuple[Ensemble, RunConfig]:
-    models = []
-    first_run = None
+def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
+    """The checkpoints as one ensemble, plus each member's run config."""
+    models, runs = [], []
     for path in paths:
         sidecar = path + ".cfg"
         if not os.path.exists(sidecar):
@@ -274,9 +274,8 @@ def _load_ensemble(paths) -> tuple[Ensemble, RunConfig]:
         model = build(run.model, np.random.default_rng(0))
         bind_checkpoint(load_checkpoint(path), model)
         models.append(model)
-        if first_run is None:
-            first_run = run
-    return Ensemble(tuple(models)), first_run
+        runs.append(run)
+    return Ensemble(tuple(models)), runs
 
 
 def _decode_all(ensemble: Ensemble, records, beam_width: int):
@@ -312,7 +311,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ensemble, run = _load_ensemble(args.ckpt)
+    ensemble, runs = _load_ensemble(args.ckpt)
+    run = runs[0]
     data_dir = args.data or run.data_dir
     if data_dir is None:
         raise UsageError("no data directory: pass --data or set 'data =' in the config")
@@ -322,6 +322,15 @@ def cmd_eval(args) -> int:
             raise DataFormatError(f"no test.npy or test.txt in {data_dir!r}")
         chosen = test
     else:
+        # the validation split follows from these; members must agree on it
+        def split_of(r):
+            return r.training.seed, r.n_validation, args.data or r.data_dir
+
+        for path, other in zip(args.ckpt, runs):
+            if split_of(other) != split_of(run):
+                raise ConfigError(
+                    f"{path} was trained on another validation split than {args.ckpt[0]} "
+                    "(seed, n_validation or data differ); use --split test")
         chosen = split_records(records, n_val=run.n_validation,
                                seed=run.training.seed).validation
     preds = _decode_all(ensemble, chosen, args.beam_width)

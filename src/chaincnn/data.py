@@ -14,12 +14,12 @@ statistics stored in its own buffers (``apply_pssm_stats``).
 
 from __future__ import annotations
 
-import ast
-import struct
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import DataFormatError, MalformedRecordError, ParameterError, ShapeError
 
@@ -110,40 +110,31 @@ def load_npy(path: str) -> np.ndarray:
     float64 is converted. Errors name the byte offset of the problem.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:6] != b"\x93NUMPY":
-        raise DataFormatError(f"{path}: bad magic at offset 0: {raw[:6]!r}")
-    if len(raw) < 10:
-        raise DataFormatError(f"{path}: truncated header at offset {len(raw)}")
-    major, minor = raw[6], raw[7]
-    if (major, minor) != (1, 0):
-        raise DataFormatError(f"{path}: unsupported format version {major}.{minor} at offset 6")
-    (header_len,) = struct.unpack_from("<H", raw, 8)
-    header_end = 10 + header_len
-    if len(raw) < header_end:
-        raise DataFormatError(f"{path}: truncated header at offset {len(raw)}")
-    try:
-        header = ast.literal_eval(raw[10:header_end].decode("latin1").strip())
-    except (ValueError, SyntaxError) as exc:
-        raise DataFormatError(f"{path}: unparseable header dict at offset 10: {exc}") from exc
-    descr = header.get("descr")
-    if descr not in ("<f4", "<f8"):
-        raise DataFormatError(f"{path}: unsupported dtype {descr!r} at offset 10")
-    if header.get("fortran_order"):
-        raise DataFormatError(f"{path}: fortran-order payloads are not supported")
-    shape = header.get("shape")
-    if not isinstance(shape, tuple) or not all(isinstance(d, int) and d >= 0 for d in shape):
-        raise DataFormatError(f"{path}: bad shape {shape!r} in header")
-    itemsize = 4 if descr == "<f4" else 8
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    expected = count * itemsize
-    payload = raw[header_end:]
+        try:
+            version = npy_format.read_magic(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad magic at offset 0: {exc}") from exc
+        if version != (1, 0):
+            raise DataFormatError(f"{path}: unsupported format version "
+                                  f"{version[0]}.{version[1]} at offset 6")
+        try:
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad header at offset 8: {exc}") from exc
+        if dtype.str not in ("<f4", "<f8"):
+            raise DataFormatError(f"{path}: unsupported dtype {dtype.str!r} at offset 10")
+        if fortran_order:
+            raise DataFormatError(f"{path}: fortran-order payloads are not supported")
+        if any(d < 0 for d in shape):
+            raise DataFormatError(f"{path}: bad shape {shape!r} in header at offset 10")
+        offset = fh.tell()
+        payload = fh.read()
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes at offset {header_end}, "
-            f"expected {expected}"
+            f"{path}: payload is {len(payload)} bytes at offset {offset}, expected {expected}"
         )
-    arr = np.frombuffer(payload, dtype=np.dtype(descr)).reshape(shape)
+    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return np.ascontiguousarray(arr, dtype=np.float32)
 
 

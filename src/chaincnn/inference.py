@@ -6,12 +6,10 @@ and ``Model.forward_window`` scores the stacked windows. Nothing outside
 the window can reach the center logit, so this equals the full forward at
 i. ``forward_window`` computes only that center: the conv trunk runs as a
 valid-convolution pyramid that narrows to the fc_window columns the head
-reads, and the head runs once per window.
-The head's matmuls run on even blocks of 16 to 128 rows, fewer than 16
-zero-padded, because BLAS rounds a row as the full forward's per-record head
-does only within that range (``Model._score_rows``). For the shipped configs,
-at every batch size, the tests check the scores bit-identical to the full
-forward's; other shapes can differ in the last bits (see ``forward_window``).
+reads, and the head runs once per window. For the shipped configs, at
+every batch size, the tests check the scores bit-identical to the full
+forward's (``model._row_blocks`` says why); other shapes can differ in the
+last bits.
 Scheduled sampling does not score here: ``model.Stepper`` steps its whole
 batch with one new column per layer per position, and the tests check its
 scores equal to this window path's. Ensembles average the members' log

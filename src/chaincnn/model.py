@@ -8,7 +8,9 @@ block k >= 2 additionally projects the previous block's output through a
 width-1 convolution and depth-concatenates that onto its own output.
 The head gathers a centered window of trunk features per position and
 runs it through fully-connected layers into 9-class logits (8 structure
-classes plus no-seq, which only padding targets would use).
+classes plus no-seq, which only padding targets would use). One layer plan
+(``_plan``) names every layer and counts its channels; ``build``,
+``parameter_count``, ``receptive_field``, the trunk and ``Stepper`` read it.
 
 A next-step conditioned model also takes a label context, one label index
 per position. The model one-hot encodes it into 9 channels appended to the
@@ -22,6 +24,7 @@ a record's padded tail can never influence a masked-in position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,61 +99,99 @@ class ReceptiveField:
     conditioning_shift: int  # radius + 1: the closest visible label is y[i-1]
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """Parallel convs (layer name, width, depth) over ``channels`` input
+    channels, depth-concatenated, then batch norm ``norm``, ReLU and dropout."""
+
+    convs: tuple[tuple[str, int, int], ...]
+    norm: str
+    channels: int
+
+    @property
+    def width(self) -> int:
+        return max(w for _, w, _ in self.convs)
+
+    @property
+    def depth(self) -> int:
+        return sum(d for _, _, d in self.convs)
+
+
+@dataclass(frozen=True)
+class _Block:
+    stages: tuple[_Stage, ...]
+    skip: str | None  # width-1 conv of the block input, appended to its output
+
+
+@dataclass(frozen=True)
+class _Plan:
+    blocks: tuple[_Block, ...]
+    trunk_channels: int
+    head: tuple[str, ...]  # the fc layers, then the output layer
+    shapes: tuple[tuple[str, tuple[int, ...]], ...]  # weight shapes, in creation order
+    field: ReceptiveField
+
+
+def _plan(config: ModelConfig) -> _Plan:
+    """The layer layout of ``config``, the one place that names a layer or
+    counts its channels.
+
+    Block k has a multi-scale stage, convs ``block{k}.multi{i}`` normed by
+    ``block{k}.multi_norm``, then a single-scale stage, ``block{k}.single``
+    normed by ``block{k}.single_norm``; either may be absent. With skip
+    connections, block k >= 2 also projects its input through
+    ``block{k}.skip``. The head is ``fc1`` .. ``fc{fc_layers}``, then
+    ``output``. A conv's weights are [width, in, out], a dense layer's
+    [in, out] and a norm's scale [channels].
+    """
+    blocks, shapes = [], []
+    c = config.input_channels
+    for k, b in enumerate(config.blocks, start=1):
+        block_in, stages = c, []
+        single = [(f"block{k}.single", *b.single_scale)] if b.single_scale else []
+        multi = [(f"block{k}.multi{i}", w, d) for i, (w, d) in enumerate(b.multi_scale)]
+        for convs, norm in ((multi, f"block{k}.multi_norm"), (single, f"block{k}.single_norm")):
+            if convs:
+                shapes += [(name, (w, c, d)) for name, w, d in convs]
+                stages.append(_Stage(tuple(convs), norm, c))
+                c = stages[-1].depth
+                shapes.append((norm, (c,)))
+        skip = f"block{k}.skip" if config.skip_connections and k >= 2 else None
+        if skip:
+            shapes.append((skip, (1, block_in, config.skip_projection_depth)))
+            c += config.skip_projection_depth
+        blocks.append(_Block(tuple(stages), skip))
+    head = tuple(f"fc{i + 1}" for i in range(config.fc_layers)) + ("output",)
+    n_in = config.fc_window * c
+    for name in head:
+        n_out = NUM_CLASSES if name == "output" else config.fc_width
+        shapes.append((name, (n_in, n_out)))
+        n_in = n_out
+    width = config.fc_window + sum(s.width - 1 for b in blocks for s in b.stages)
+    radius = (width - 1) // 2
+    return _Plan(tuple(blocks), c, head, tuple(shapes),
+                 ReceptiveField(width=width, radius=radius, conditioning_shift=radius + 1))
+
+
 def receptive_field(config: ModelConfig) -> ReceptiveField:
     """Input width visible to one output position, down the deepest path."""
-    width = config.fc_window
-    for b in config.blocks:
-        if b.multi_scale:
-            width += max(w for w, _ in b.multi_scale) - 1
-        if b.single_scale:
-            width += b.single_scale[0] - 1
-    radius = (width - 1) // 2
-    return ReceptiveField(width=width, radius=radius, conditioning_shift=radius + 1)
-
-
-def _block_channels(config: ModelConfig) -> list[dict]:
-    """Per-block channel arithmetic; returns dicts of the intermediate widths."""
-    plans = []
-    c = config.input_channels
-    prev_out = None
-    for k, b in enumerate(config.blocks, start=1):
-        plan = {"in": c}
-        mid = sum(d for _, d in b.multi_scale) if b.multi_scale else c
-        plan["concat"] = mid
-        out = b.single_scale[1] if b.single_scale else mid
-        plan["single_out"] = out
-        if config.skip_connections and k >= 2:
-            plan["skip_in"] = prev_out
-            out = out + config.skip_projection_depth
-        plan["out"] = out
-        plans.append(plan)
-        prev_out = c = out
-    return plans
+    return _plan(config).field
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Closed-form trainable parameter count for a config."""
-    total = 0
-    plans = _block_channels(config)
-    for b, plan in zip(config.blocks, plans):
-        c_in = plan["in"]
-        for width, depth in b.multi_scale:
-            total += width * c_in * depth + depth
-        mid = plan["concat"]
-        if b.multi_scale:
-            total += 2 * mid  # norm scale + shift
-        if b.single_scale:
-            width, depth = b.single_scale
-            total += width * mid * depth + depth + 2 * depth
-        if "skip_in" in plan:
-            total += (plan["skip_in"] + 1) * config.skip_projection_depth  # weights + biases
-    trunk_out = plans[-1]["out"] if plans else config.input_channels
-    n_in = config.fc_window * trunk_out
-    for _ in range(config.fc_layers):
-        total += n_in * config.fc_width + config.fc_width
-        n_in = config.fc_width
-    total += n_in * NUM_CLASSES + NUM_CLASSES
-    return total
+    """Closed-form trainable parameter count for a config: every layer has
+    its weights plus one bias (a norm: shift) per output channel."""
+    return sum(math.prod(shape) + shape[-1] for _, shape in _plan(config).shapes)
+
+
+def _one_hot(context, shape) -> np.ndarray:
+    """The float32 one-hot [*shape, 9] of label indices ``context``."""
+    context = np.asarray(context, dtype=np.int64)
+    if context.shape != shape:
+        raise ShapeError(f"label context shape {context.shape} != {shape}")
+    if context.size and (context.min() < 0 or context.max() >= NUM_CLASSES):
+        raise ParameterError(f"label context indices must lie in [0, {NUM_CLASSES})")
+    return np.eye(NUM_CLASSES, dtype=np.float32)[context]
 
 
 class Model:
@@ -160,6 +201,7 @@ class Model:
         self.config = config
         self.layers = layers
         self.buffers = buffers
+        self._plan = _plan(config)
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -181,11 +223,10 @@ class Model:
 
     def dense_layers(self) -> list[T.LayerParams]:
         """The max-norm constrained layers: the FC stack and the output layer."""
-        names = [f"fc{i + 1}" for i in range(self.config.fc_layers)] + ["output"]
-        return [self.layers[n] for n in names]
+        return [self.layers[n] for n in self._plan.head]
 
     def receptive_field(self) -> ReceptiveField:
-        return receptive_field(self.config)
+        return self._plan.field
 
     def label_context(self, labels: np.ndarray) -> np.ndarray:
         """The ``forward`` context that conditions on ``labels``.
@@ -222,15 +263,7 @@ class Model:
             return features
         if context is None:
             raise ModeError("conditioned model needs a label context")
-        context = np.asarray(context, dtype=np.int64)
-        if context.shape != features.shape[:2]:
-            raise ShapeError(f"label context shape {context.shape} != {features.shape[:2]}")
-        if context.size and (context.min() < 0 or context.max() >= NUM_CLASSES):
-            raise ParameterError(f"label context indices must lie in [0, {NUM_CLASSES})")
-        chans = np.zeros(features.shape[:2] + (NUM_CLASSES,), dtype=np.float32)
-        b_idx, p_idx = np.indices(context.shape)
-        chans[b_idx, p_idx, context] = 1.0
-        return np.concatenate([features, chans], axis=2)
+        return np.concatenate([features, _one_hot(context, features.shape[:2])], axis=2)
 
     def forward(
         self,
@@ -261,8 +294,7 @@ class Model:
         the input by receptive-field width - fc_window; masks are sliced to
         match. Without it every layer keeps the input length (SAME padding).
         """
-        cfg = self.config
-        drop = cfg.dropout_rate
+        drop = self.config.dropout_rate
 
         def conv(name, x, crop):
             lp = self.layers[name]
@@ -280,37 +312,24 @@ class Model:
 
         mask = np.asarray(mask, dtype=np.float32)
         h = T.apply_mask(h, mask)
-        for k, b in enumerate(cfg.blocks, start=1):
+        for block in self._plan.blocks:
             block_in, in_mask = h, mask
-            if b.multi_scale:
-                crop, mask = cropped(mask, max(w for w, _ in b.multi_scale))
-                m = T.concat_channels([
-                    conv(f"block{k}.multi{i}", block_in, crop)
-                    for i in range(len(b.multi_scale))
-                ])
-                m = norm_relu(m, f"block{k}.multi_norm", mask)
-            else:
-                m = block_in
-            if b.single_scale:
-                crop, mask = cropped(mask, b.single_scale[0])
-                s = norm_relu(conv(f"block{k}.single", m, crop), f"block{k}.single_norm", mask)
-            else:
-                s = m
-            if cfg.skip_connections and k >= 2:
+            for stage in block.stages:
+                crop, mask = cropped(mask, stage.width)
+                h = T.concat_channels([conv(name, h, crop) for name, _, _ in stage.convs])
+                h = norm_relu(h, stage.norm, mask)
+            if block.skip:
                 crop = (in_mask.shape[1] - mask.shape[1]) // 2
-                proj = conv(f"block{k}.skip", block_in, crop)
-                h = T.apply_mask(T.concat_channels([s, proj]), mask)
-            else:
-                h = s
+                proj = conv(block.skip, block_in, crop)
+                h = T.apply_mask(T.concat_channels([h, proj]), mask)
         return h
 
     def _head(self, h: T.Tensor, train: bool, rng) -> T.Tensor:
         """FC stack and output layer over gathered fc_window features."""
         drop = self.config.dropout_rate
-        for i in range(self.config.fc_layers):
-            lp = self.layers[f"fc{i + 1}"]
+        *fcs, out = self.dense_layers()
+        for lp in fcs:
             h = T.dropout(T.relu(T.dense(h, lp.weights, lp.biases)), drop, train, rng)
-        out = self.layers["output"]
         return T.dense(h, out.weights, out.biases)
 
     def forward_window(
@@ -333,13 +352,12 @@ class Model:
         head then runs once per window, not once per window position.
 
         ``forward`` over the window, center kept, is the reference. The
-        center rows go through the head in blocks of 16 to 128 rows, fewer
-        than 16 zero-padded (``_score_rows``), so that BLAS rounds them as it
-        rounds that forward's head. For the shipped configs the tests check
-        the result bit-identical to the reference. The cropped trunk
-        convolutions can still round differently from SAME ones for other
-        shapes (a depth like 3, or a pyramid that narrows to one column), so
-        there the match is only to float32 rounding.
+        center rows go through ``_score_rows``, which rounds them as that
+        forward's head does (see ``_row_blocks``). For the shipped configs
+        the tests check the result bit-identical to the reference. The
+        cropped trunk convolutions can still round differently from SAME
+        ones for other shapes (a depth like 3, or a pyramid that narrows to
+        one column), so there the match is only to float32 rounding.
         """
         features = np.asarray(features, dtype=np.float32)
         squeeze = features.ndim == 2
@@ -359,13 +377,8 @@ class Model:
 
     def _score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
-        fc_window trunk columns, flattened window-position major.
-
-        ``forward`` multiplies one record's rows per head BLAS call, and
-        sgemm rounds a row alike at any row count within one kernel regime.
-        In every shipped head the fc layers run the blocked kernel from 16
-        rows up and the 9-wide output layer the small-matrix one up to 128,
-        so the rows run in ``_row_blocks`` of 16 to 128 rows, zero-padded.
+        fc_window trunk columns, flattened window-position major, run in
+        ``_row_blocks`` of 16 to 128 rows, fewer than 16 zero-padded.
         ``forward_window`` and ``Stepper`` both score here.
         """
         n = rows.shape[0]
@@ -377,8 +390,20 @@ class Model:
 
 
 def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
-    """Even [lo, hi) blocks of at most 128 rows over max(n, floor) rows:
-    the row counts at which sgemm keeps one kernel for a shipped shape."""
+    """Even [lo, hi) blocks of at most 128 rows over max(n, floor) rows.
+
+    The window path and ``Stepper`` run their matmuls on these blocks so
+    that BLAS rounds each row as the full ``forward`` does, which multiplies
+    one record's rows per call. OpenBLAS sgemm rounds a row alike at any
+    row count within one kernel regime: gemv for one row, a small-matrix
+    kernel for small products, a blocked kernel above. In every shipped
+    head the fc layers run the blocked kernel from 16 rows up and the 9-wide
+    output layer the small-matrix one up to 128, so ``_score_rows`` uses a
+    floor of 16. ``Stepper``'s conv taps use a floor of 2, since one row
+    would go to gemv; at 256 rows a shipped trunk conv would leave the
+    small-matrix kernel. For the shipped configs the tests check both paths
+    bit-identical to ``forward``; other shapes can differ in the last bits.
+    """
     rows = max(n, floor)
     blocks = -(-rows // 128)
     return [(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
@@ -420,11 +445,10 @@ class Stepper:
     windows for the shipped configs (the tests check every one):
     - each conv tap is a 2-D [rows, in] @ [in, out] matmul added onto a
       copy of the bias in tap order, as in ``tensor.cropped_conv1d``, over
-      2 to 128 rows, because BLAS rounds a row differently when it sends
-      a single row to gemv or a large product to its blocked kernel;
+      ``_row_blocks`` of 2 to 128 rows;
     - batch norm, ReLU and the mask use the infer-mode expressions of
       ``tensor.batch_norm``, ``relu`` and ``apply_mask``;
-    - the head scores through ``Model._score_rows`` on 16 to 128 rows.
+    - the head scores through ``Model._score_rows``.
     """
 
     def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
@@ -456,28 +480,19 @@ class Stepper:
             inv = 1.0 / np.sqrt(lp.extra["running_var"].data + np.float32(T.BN_EPS))
             return lp.extra["running_mean"].data, inv, lp.weights.data, lp.biases.data
 
-        plans = _block_channels(cfg)
         self._blocks = []  # per block: [(input queue, convs, norm stats, delay)], skip
-        for k, (b, plan) in enumerate(zip(cfg.blocks, plans), start=1):
-            stages = []
-            if b.multi_scale:
-                convs = [model.layers[f"block{k}.multi{i}"] for i in range(len(b.multi_scale))]
-                width = max(w for w, _ in b.multi_scale)
-                stages.append((width, plan["in"], convs, f"block{k}.multi_norm"))
-            if b.single_scale:
-                stages.append((b.single_scale[0], plan["concat"],
-                               [model.layers[f"block{k}.single"]], f"block{k}.single_norm"))
-            skip = model.layers.get(f"block{k}.skip")
+        for block in model._plan.blocks:
             # the skip projection reads the block input at the block's output position
-            sizes = [w for w, *_ in stages]
-            if skip is not None:
+            sizes = [stage.width for stage in block.stages]
+            if block.skip:
                 sizes[0] = max(sizes[0], sum(w // 2 for w in sizes) + 1)
             self._blocks.append(([
-                (_Queue(size, rows, channels), convs, norm(name), width // 2)
-                for size, (width, channels, convs, name) in zip(sizes, stages)
-            ], skip))
-        trunk_out = plans[-1]["out"] if plans else cfg.input_channels
-        self._head_queue = _Queue(cfg.fc_window, rows, trunk_out)
+                (_Queue(size, rows, stage.channels),
+                 [model.layers[name] for name, _, _ in stage.convs],
+                 norm(stage.norm), stage.width // 2)
+                for size, stage in zip(sizes, block.stages)
+            ], model.layers[block.skip] if block.skip else None))
+        self._head_queue = _Queue(cfg.fc_window, rows, model._plan.trunk_channels)
         no_seq = np.full(self.n, NOSEQ_CLASS, dtype=np.int64)
         for _ in range(radius):
             self._advance(no_seq)
@@ -492,16 +507,11 @@ class Stepper:
 
     def _advance(self, labels) -> None:
         """Push input column i + radius with context ``labels`` through the trunk."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (self.n,):
-            raise ShapeError(f"expected {self.n} labels, got shape {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
-            raise ParameterError(f"label context indices must lie in [0, {NUM_CLASSES})")
         col = self._column
-        self._column += 1
         x = np.zeros((len(self._mask), self.model.config.input_channels), dtype=np.float32)
         x[:, :NUM_FEATURES] = self._features[:, col]
-        x[np.arange(self.n), NUM_FEATURES + labels] = 1.0
+        x[: self.n, NUM_FEATURES:] = _one_hot(labels, (self.n,))
+        self._column += 1
         h = x * self._mask[:, col, None]
         for stages, skip in self._blocks:
             h, col = self._block(stages, skip, h, col)
@@ -547,55 +557,26 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Initialize all layers; creation order is fixed, so equal seeds give
     bit-identical models."""
     config.validate()
-    layers: dict[str, T.LayerParams] = {}
-
-    def conv_layer(name, width, c_in, c_out):
-        layers[name] = T.LayerParams(
-            name=name,
-            weights=T.init_weights((width, c_in, c_out), fan_in=width * c_in, rng=rng),
-            biases=T.init_bias((c_out,)),
-        )
-
-    def norm_layer(name, ch):
-        layers[name] = T.LayerParams(
-            name=name,
-            weights=T.Tensor(np.ones(ch, dtype=np.float32), requires_grad=True),
-            biases=T.Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True),
-            extra={
-                "running_mean": T.Tensor(np.zeros(ch, dtype=np.float32)),
-                "running_var": T.Tensor(np.ones(ch, dtype=np.float32)),
-            },
-        )
-
-    def dense_layer(name, n_in, n_out):
-        layers[name] = T.LayerParams(
-            name=name,
-            weights=T.init_weights((n_in, n_out), fan_in=n_in, rng=rng),
-            biases=T.init_bias((n_out,)),
-        )
-
-    plans = _block_channels(config)
-    for k, (b, plan) in enumerate(zip(config.blocks, plans), start=1):
-        for i, (width, depth) in enumerate(b.multi_scale):
-            conv_layer(f"block{k}.multi{i}", width, plan["in"], depth)
-        if b.multi_scale:
-            norm_layer(f"block{k}.multi_norm", plan["concat"])
-        if b.single_scale:
-            width, depth = b.single_scale
-            conv_layer(f"block{k}.single", width, plan["concat"], depth)
-            norm_layer(f"block{k}.single_norm", depth)
-        if "skip_in" in plan:
-            conv_layer(f"block{k}.skip", 1, plan["skip_in"], config.skip_projection_depth)
-
-    trunk_out = plans[-1]["out"] if plans else config.input_channels
-    n_in = config.fc_window * trunk_out
-    for i in range(config.fc_layers):
-        dense_layer(f"fc{i + 1}", n_in, config.fc_width)
-        n_in = config.fc_width
-    dense_layer("output", n_in, NUM_CLASSES)
-
     buffers = {
         "input_norm.pssm_mean": T.Tensor(np.zeros(NUM_PSSM, dtype=np.float32)),
         "input_norm.pssm_std": T.Tensor(np.ones(NUM_PSSM, dtype=np.float32)),
     }
-    return Model(config, layers, buffers)
+    model = Model(config, {}, buffers)
+    for name, shape in model._plan.shapes:
+        if len(shape) == 1:  # batch norm: scale and shift, running statistics
+            model.layers[name] = T.LayerParams(
+                name=name,
+                weights=T.Tensor(np.ones(shape, dtype=np.float32), requires_grad=True),
+                biases=T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True),
+                extra={
+                    "running_mean": T.Tensor(np.zeros(shape, dtype=np.float32)),
+                    "running_var": T.Tensor(np.ones(shape, dtype=np.float32)),
+                },
+            )
+        else:
+            model.layers[name] = T.LayerParams(
+                name=name,
+                weights=T.init_weights(shape, fan_in=math.prod(shape[:-1]), rng=rng),
+                biases=T.init_bias(shape[-1:]),
+            )
+    return model

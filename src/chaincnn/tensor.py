@@ -171,6 +171,8 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
     """Concatenate along the trailing (channel) axis."""
     if not parts:
         raise ShapeError("concat of zero tensors")
+    if len(parts) == 1:
+        return parts[0]
     lead = parts[0].data.shape[:-1]
     for p in parts:
         if p.data.shape[:-1] != lead:

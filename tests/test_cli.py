@@ -356,6 +356,26 @@ class TestEvalCommand:
         assert reports[0] == reports[1]
         assert predictions[0] == predictions[1]
 
+    def test_members_on_other_validation_splits_exit_1(self, tmp_path, tiny_cfg, data_dir,
+                                                       capsys):
+        """Members trained with seeds 3 and 4 hold out different validation
+        records, so no validation split serves both, in either order; the
+        test split and ``predict`` still take them."""
+        paths = []
+        for seed in ("3", "4"):
+            paths.append(str(tmp_path / f"s{seed}.ckpt"))
+            assert main(["train", "--config", tiny_cfg, "--data", data_dir,
+                         "--out", paths[-1], "--seed", seed]) == 0
+        save_native(rule_corpus(n=3, length=25, seed=9), data_dir + "/test.txt")
+        for order in (paths, paths[::-1]):
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", *order, "--data", data_dir, "--raw"]) == 1
+            assert order[1] in capsys.readouterr().err
+            assert main(["eval", "--ckpt", *order, "--data", data_dir,
+                         "--split", "test"]) == 0
+            assert main(["predict", "--ckpt", *order, "--input", data_dir + "/test.txt",
+                         "--output", str(tmp_path / "preds.txt")]) == 0
+
 
 class TestPredictCommand:
     def test_output_parses_and_scores(self, tmp_path, tiny_cfg, data_dir, capsys):

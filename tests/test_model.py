@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import chaincnn.tensor as T
 from chaincnn.data import NOSEQ_CLASS, NUM_CLASSES, make_batch
 from chaincnn.errors import ConfigError, ModeError, ParameterError, ShapeError
-from chaincnn.inference import context_window, extract_window
+from chaincnn.inference import context_window, extract_window, step_scores
 from chaincnn.model import (
     BlockSpec,
     Model,
@@ -597,6 +597,73 @@ class TestInputStandardization:
                                      np.stack([m for _, m in windows]), ctx),
                 twin.forward_window(np.stack([f for f, _ in hand_windows]),
                                     np.stack([m for _, m in hand_windows]), ctx))
+
+
+_CONV = st.tuples(st.sampled_from((1, 3, 5, 7)), st.integers(1, 6))
+_BLOCK = st.one_of(
+    st.builds(BlockSpec, multi_scale=st.lists(_CONV, min_size=1, max_size=3).map(tuple)),
+    st.builds(BlockSpec, single_scale=_CONV),
+    st.builds(BlockSpec, multi_scale=st.lists(_CONV, min_size=1, max_size=3).map(tuple),
+              single_scale=_CONV),
+)
+
+
+class TestUnshippedArchitectures:
+    """Conditioned architectures no shipped config has: 1-3 blocks that are
+    multi-scale only, single-scale only or both, with skip connections."""
+
+    @given(blocks=st.lists(_BLOCK, min_size=1, max_size=3),
+           fc_window=st.sampled_from((1, 3)),
+           skip_depth=st.integers(1, 5),
+           seed=st.integers(0, 2**31 - 1))
+    @example(blocks=[BlockSpec(single_scale=(5, 3))] * 3, fc_window=3, skip_depth=2, seed=0)
+    def test_plan_agrees_with_the_model(self, blocks, fc_window, skip_depth, seed):
+        config = ModelConfig(kind="convolutional", fc_window=fc_window, fc_layers=1,
+                             fc_width=8, blocks=tuple(blocks), skip_connections=True,
+                             skip_projection_depth=skip_depth, conditioned=True)
+        model = randomized_stats_model(config, seed % 1000)
+        assert parameter_count(config) == model.num_parameters()
+        rf = model.receptive_field()
+        assert self._probed_width(config, seed) == rf.width
+
+        # the Stepper against the window path, off the shapes where it is
+        # bitwise: to 1e-5 of the largest log-prob magnitude, since this
+        # init's log-probs reach the hundreds and round on that scale
+        rng = np.random.default_rng(seed)
+        lengths = [int(n) for n in rng.integers(0, rf.radius + 6, size=3)]
+        records = [rule_corpus(n=1, length=n, seed=k)[0] for k, n in enumerate(lengths)]
+        labels = [rng.integers(0, 8, size=n) for n in lengths]
+        max_len = max(lengths)
+        stepper = Stepper(model, np.stack([r.features[:max_len] for r in records]),
+                          np.stack([r.mask[:max_len] for r in records]))
+        for i in range(max_len):
+            previous = [y[i - 1] if 0 < i <= len(y) else NOSEQ_CLASS for y in labels]
+            want = step_scores([model], list(zip(records, labels)), i)
+            np.testing.assert_allclose(stepper.push(np.array(previous))[:, :8], want, rtol=0,
+                                       atol=1e-5 * max(1.0, np.abs(want).max()))
+
+    @staticmethod
+    def _probed_width(config, seed):
+        """How many input positions move the logits at one center. All
+        weights are made positive over positive inputs, so every ReLU passes
+        and a perturbation reaches the center wherever a path exists."""
+        model = build(config, np.random.default_rng(seed % 1000))
+        for lp in model.layers.values():
+            lp.weights.data = np.abs(lp.weights.data)
+        reach = 48  # past the widest field these configs can have: 3 + 3 * 2 * 6 = 39
+        length, center = 2 * reach + 1, reach
+        rng = np.random.default_rng(seed)
+        feats = rng.random((1, length, 42)).astype(np.float32)
+        offsets = np.arange(-reach, reach + 1)
+        probes = np.repeat(feats, len(offsets), axis=0)
+        probes[np.arange(len(offsets)), center + offsets] += 100.0
+        context = rng.integers(0, NUM_CLASSES, (1, length))
+        mask = np.ones((1, length), dtype=np.float32)
+        base = model.forward(feats, mask, context).data[0, center]
+        out = model.forward(probes, np.repeat(mask, len(offsets), axis=0),
+                            np.repeat(context, len(offsets), axis=0)).data[:, center]
+        moved = offsets[(out != base).any(axis=1)]
+        return int(moved.max() - moved.min() + 1)
 
 
 class TestAblationTable:
