@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NOSEQ_CLASS, ProteinRecord
+from .data import NOSEQ_CLASS, ProteinRecord, make_batch
 from .errors import ModeError, ParameterError
 from .model import Model
+from .tensor import log_softmax
 
 NUM_REAL_CLASSES = 8
 DEFAULT_BEAM_WIDTH = 8
@@ -136,9 +137,6 @@ def step_scores(members, rows, i: int) -> np.ndarray:
 
 def decode_independent(model_or_ensemble, record: ProteinRecord) -> np.ndarray:
     """Argmax of (ensemble-averaged) log probabilities per masked-in position."""
-    from .data import make_batch
-    from .tensor import log_softmax
-
     members = _members(model_or_ensemble)
     if any(m.config.conditioned for m in members):
         raise ModeError("independent decoding needs unconditioned models")

@@ -244,19 +244,15 @@ class Model:
 
     # -- forward passes -------------------------------------------------
 
-    def _standardized(self, features: np.ndarray) -> np.ndarray:
-        """Raw [..., 42] features with the PSSM columns standardized by this
-        model's own buffers."""
-        return apply_pssm_stats(features, self.buffers["input_norm.pssm_mean"].data,
-                                self.buffers["input_norm.pssm_std"].data)
-
     def _with_context(self, features: np.ndarray, context) -> np.ndarray:
-        """Raw [batch, length, 42] features, standardized, with the one-hot
-        of a conditioned model's [batch, length] label context appended."""
+        """Raw [batch, length, 42] features, their PSSM columns standardized
+        by this model's own buffers, with the one-hot of a conditioned
+        model's [batch, length] label context appended."""
         if features.ndim != 3 or features.shape[2] != NUM_FEATURES:
             raise ShapeError(f"expected [batch, length, {NUM_FEATURES}] features, "
                              f"got {features.shape}")
-        features = self._standardized(features)
+        features = apply_pssm_stats(features, self.buffers["input_norm.pssm_mean"].data,
+                                    self.buffers["input_norm.pssm_std"].data)
         if not self.config.conditioned:
             if context is not None:
                 raise ModeError("unconditioned model takes no label context")
@@ -436,10 +432,10 @@ class Stepper:
     last columns, a skip projection reads its block's input queue, and the
     head reads the last fc_window trunk columns. Queues start as zeros,
     which is what the masked positions before a record hold. Construction
-    standardizes the raw features' PSSM columns with the model's
-    ``input_norm.*`` buffers, as ``Model.forward`` does, and pushes input
-    columns 0..radius-1 with a no-seq context; each ``push`` then scores
-    the next position.
+    takes the model's input from ``Model._with_context`` with a no-seq
+    context, so it has ``forward``'s checks, standardization and channels,
+    and pushes input columns 0..radius-1; each ``push`` then scores the
+    next position, its column's label channels overwritten by the labels.
 
     The scores are bit-identical to ``Model.forward_window`` over the same
     windows for the shipped configs (the tests check every one):
@@ -453,14 +449,9 @@ class Stepper:
 
     def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
         """features: [n, length, 42] raw features; mask: [n, length]."""
-        cfg = model.config
-        if not cfg.conditioned:
-            raise ModeError("stepping needs a next-step conditioned model")
         features = np.asarray(features, dtype=np.float32)
         mask = np.asarray(mask, dtype=np.float32)
-        if features.ndim != 3 or features.shape[2] != NUM_FEATURES:
-            raise ShapeError(f"expected [n, length, {NUM_FEATURES}] features, "
-                             f"got {features.shape}")
+        x = model._with_context(features, np.full(features.shape[:2], NOSEQ_CLASS))
         if mask.shape != features.shape[:2]:
             raise ShapeError(f"mask shape {mask.shape} != {features.shape[:2]}")
         self.model = model
@@ -469,8 +460,8 @@ class Stepper:
         rows = self._row_blocks[-1][1]
         radius = model.receptive_field().radius
         # columns up to length - 1 + radius get pushed; past the buffer they are masked
-        self._features = np.zeros((rows, length + radius, NUM_FEATURES), dtype=np.float32)
-        self._features[: self.n, :length] = model._standardized(features)
+        self._input = np.zeros((rows, length + radius, x.shape[2]), dtype=np.float32)
+        self._input[: self.n, :length] = x
         self._mask = np.zeros((rows, length + radius), dtype=np.float32)
         self._mask[: self.n, :length] = mask
         self._column = 0
@@ -492,7 +483,7 @@ class Stepper:
                  norm(stage.norm), stage.width // 2)
                 for size, stage in zip(sizes, block.stages)
             ], model.layers[block.skip] if block.skip else None))
-        self._head_queue = _Queue(cfg.fc_window, rows, model._plan.trunk_channels)
+        self._head_queue = _Queue(model.config.fc_window, rows, model._plan.trunk_channels)
         no_seq = np.full(self.n, NOSEQ_CLASS, dtype=np.int64)
         for _ in range(radius):
             self._advance(no_seq)
@@ -508,8 +499,7 @@ class Stepper:
     def _advance(self, labels) -> None:
         """Push input column i + radius with context ``labels`` through the trunk."""
         col = self._column
-        x = np.zeros((len(self._mask), self.model.config.input_channels), dtype=np.float32)
-        x[:, :NUM_FEATURES] = self._features[:, col]
+        x = self._input[:, col].copy()
         x[: self.n, NUM_FEATURES:] = _one_hot(labels, (self.n,))
         self._column += 1
         h = x * self._mask[:, col, None]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import chaincnn.tensor as T
-from .data import NOSEQ_CLASS, DatasetSplit, make_batch
+from .data import NOSEQ_CLASS, Batch, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
 from .inference import NUM_REAL_CLASSES, beam_search
 from .metrics import q8 as metrics_q8
@@ -90,35 +90,34 @@ def sampling_rate_at(step: int, config: TrainConfig) -> float:
     return min(1.0, max(0.0, rate))
 
 
-def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray]:
-    """Mix ground-truth labels with the model's own samples at ``rate``.
+def scheduled_sampling_pass(model, batch: Batch, rate: float, rng) -> np.ndarray:
+    """Mix the ground-truth labels of ``batch``, the step's ``make_batch``
+    output, with the model's own samples at ``rate``; returns the mixed
+    [batch, length] int64 labels, no-seq at padding, for
+    ``model.label_context``.
 
-    Walks the sequences left to right together; at position i the model
-    scores every record conditioned on its already-mixed context y[i-1], a
-    label is drawn from the renormalized 8-class softmax for each record
-    with i < length, and the context entry becomes the draw with
-    probability ``rate``, else the ground truth. One ``model.Stepper`` over
-    the batch scores each position with one new column per layer; its
-    scores equal ``inference.step_scores`` bit for bit. Returns one mixed
-    context per record. ``rate`` 0 short-circuits to the ground truth
-    without evaluating the model.
+    Walks the rows left to right together; at position i the model scores
+    every row conditioned on its already-mixed label y[i-1], a label is
+    drawn from the renormalized 8-class softmax for each row still inside
+    its record, and the label becomes the draw with probability ``rate``,
+    else the ground truth. One ``model.Stepper`` over ``batch.features``
+    scores each position with one new column per layer; its scores equal
+    ``inference.step_scores`` bit for bit. ``rate`` 0 short-circuits to the
+    ground truth without evaluating the model.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"sampling rate must lie in [0, 1], got {rate}")
-    contexts = []
-    for r in records:
-        if r.labels is None:
-            raise ParameterError(f"record {r.id} has no labels to sample against")
-        contexts.append(r.labels[: r.length].copy())
-    max_len = max((r.length for r in records), default=0)
-    if rate == 0.0 or max_len == 0:
-        return contexts
-    stepper = Stepper(model, np.stack([r.features[:max_len] for r in records]),
-                      np.stack([r.mask[:max_len] for r in records]))
-    previous = np.full(len(records), NOSEQ_CLASS, dtype=np.int64)
-    for i in range(max_len):
+    if batch.labels is None:
+        raise ParameterError("the batch has no labels to sample against")
+    mixed = np.where(batch.mask > 0, batch.labels, NOSEQ_CLASS).astype(np.int64)
+    if rate == 0.0:
+        return mixed
+    lengths = np.count_nonzero(batch.mask, axis=1)
+    stepper = Stepper(model, batch.features, batch.mask)
+    previous = np.full(len(mixed), NOSEQ_CLASS, dtype=np.int64)
+    for i in range(lengths.max(initial=0)):
         scores = stepper.push(previous)
-        rows = [k for k, r in enumerate(records) if i < r.length]
+        rows = np.flatnonzero(lengths > i)
         s8 = scores[rows, :NUM_REAL_CLASSES]
         probs = np.exp(s8 - s8.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -126,12 +125,9 @@ def scheduled_sampling_pass(model, records, rate: float, rng) -> list[np.ndarray
         cdf[:, -1] = 1.0
         draws = (rng.random(len(rows))[:, None] > cdf).sum(axis=1)
         mix = rng.random(len(rows)) < rate
-        previous[:] = NOSEQ_CLASS
-        for j, k in enumerate(rows):
-            if mix[j]:
-                contexts[k][i] = draws[j]
-            previous[k] = contexts[k][i]
-    return contexts
+        mixed[rows[mix], i] = draws[mix]
+        previous = mixed[:, i]
+    return mixed
 
 
 def evaluate_q8(model, records, batch_size: int = 50) -> float:
@@ -345,15 +341,11 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
     for step in range(config.max_iterations):
         idx = rng.integers(0, len(data.train), size=config.batch_size)
         records = [data.train[i] for i in idx]
-        length = max(r.length for r in records)
+        batch = make_batch(records, length=max(r.length for r in records))
         rate = sampling_rate_at(step, config) if conditioned else 0.0
         context = None
         if conditioned:
-            mixed = np.full((len(records), length), NOSEQ_CLASS, dtype=np.int64)
-            for row, sampled in zip(mixed, scheduled_sampling_pass(model, records, rate, rng)):
-                row[: len(sampled)] = sampled
-            context = model.label_context(mixed)
-        batch = make_batch(records, length=length)
+            context = model.label_context(scheduled_sampling_pass(model, batch, rate, rng))
         for t in params.values():
             t.grad = None
         logits = model.forward(batch.features, batch.mask, context, train=True, rng=rng)
@@ -392,7 +384,7 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
                 break
 
     winner = snapshots[-1]
-    if conditioned and data.validation:
+    if conditioned:
         ranked = []
         for cand in snapshots:
             bind_checkpoint(cand, model)

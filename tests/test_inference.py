@@ -22,7 +22,7 @@ from chaincnn.tensor import log_softmax
 from chaincnn.training import scheduled_sampling_pass
 from corpus import rule_corpus
 from test_model import conditioned_shipped, randomized_stats_model, small_config, window_oracle
-from test_training import window_sampling_pass
+from test_training import batch_of, window_sampling_pass
 
 
 def brute_force_decode(members, record):
@@ -299,12 +299,16 @@ class TestDecodersMatchOracle:
         def decode(sampling_pass):
             labels = [beam_search(ensemble, r) for r in records]
             log_probs = [sequence_log_prob(ensemble, r, y) for r, y in zip(records, labels)]
-            contexts = sampling_pass(chained, records, 0.7, np.random.default_rng(5))
+            contexts = sampling_pass(np.random.default_rng(5))
             return labels, log_probs, contexts
 
-        fast = decode(scheduled_sampling_pass)
+        def stepped(rng):
+            mixed = scheduled_sampling_pass(chained, batch_of(records), 0.7, rng)
+            return [row[: r.length] for row, r in zip(mixed, records)]
+
+        fast = decode(stepped)
         monkeypatch.setattr(Model, "forward_window", window_oracle)
-        slow = decode(window_sampling_pass)
+        slow = decode(lambda rng: window_sampling_pass(chained, records, 0.7, rng))
         for a, b in zip(fast[0] + fast[2], slow[0] + slow[2]):
             np.testing.assert_array_equal(a, b)
         assert fast[1] == slow[1]

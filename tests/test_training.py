@@ -1,5 +1,6 @@
 """Schedules, scheduled sampling, the training loop, and checkpoint format."""
 
+import dataclasses
 import os
 import struct
 
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chaincnn.tensor as T
-from chaincnn.data import DatasetSplit
+from chaincnn.data import NOSEQ_CLASS, DatasetSplit, make_batch
 from chaincnn.errors import CheckpointError, NonFiniteError, ParameterError
 from chaincnn.inference import decode_independent, step_scores
 from chaincnn.model import BlockSpec, ModelConfig, build
@@ -62,10 +63,16 @@ def split_of(records, validation=None):
                         test=[], seed=0)
 
 
+def batch_of(records):
+    """The batch ``train`` builds from ``records``: cropped to the longest."""
+    return make_batch(records, length=max(r.length for r in records))
+
+
 def window_sampling_pass(model, records, rate, rng):
     """Reference scheduled sampling: at each position, score the records
     still running through ``step_scores``, one receptive-field window per
-    record, then draw and mix exactly as ``scheduled_sampling_pass`` does."""
+    record, then draw and mix exactly as ``scheduled_sampling_pass`` does.
+    Returns one mixed label sequence per record."""
     contexts = [r.labels[: r.length].copy() for r in records]
     for i in range(max((r.length for r in records), default=0)):
         rows = [k for k, r in enumerate(records) if i < r.length]
@@ -133,9 +140,10 @@ class TestSchedules:
 class TestScheduledSampling:
     def test_rate_zero_returns_ground_truth_without_the_model(self):
         recs = rule_corpus(n=3, length=12, seed=0)
-        ctx = scheduled_sampling_pass(None, recs, 0.0, np.random.default_rng(0))
-        for c, r in zip(ctx, recs):
-            np.testing.assert_array_equal(c, r.labels[:12])
+        mixed = scheduled_sampling_pass(None, batch_of(recs), 0.0, np.random.default_rng(0))
+        assert mixed.shape == (3, 12)
+        for row, r in zip(mixed, recs):
+            np.testing.assert_array_equal(row, r.labels[:12])
 
     def _uniform_model(self):
         model = build(tiny_config(conditioned=True), np.random.default_rng(0))
@@ -143,13 +151,17 @@ class TestScheduledSampling:
             t.data[...] = 0.0
         return model
 
+    @staticmethod
+    def _mismatch(mixed, recs):
+        return np.concatenate(
+            [row[: r.length] != r.labels[: r.length] for row, r in zip(mixed, recs)]
+        )
+
     def test_rate_one_mixes_everywhere(self):
         model = self._uniform_model()
         recs = markov_corpus(n=20, length=100, seed=1)
-        ctx = scheduled_sampling_pass(model, recs, 1.0, np.random.default_rng(2))
-        mismatch = np.concatenate(
-            [c != r.labels[: r.length] for c, r in zip(ctx, recs)]
-        )
+        mixed = scheduled_sampling_pass(model, batch_of(recs), 1.0, np.random.default_rng(2))
+        mismatch = self._mismatch(mixed, recs)
         # uniform samples disagree with truth 7/8 of the time
         n = mismatch.size
         sigma = np.sqrt(0.875 * 0.125 / n)
@@ -158,35 +170,59 @@ class TestScheduledSampling:
     def test_intermediate_rate_statistics(self):
         model = self._uniform_model()
         recs = markov_corpus(n=20, length=100, seed=3)
-        ctx = scheduled_sampling_pass(model, recs, 0.4, np.random.default_rng(4))
-        mismatch = np.concatenate(
-            [c != r.labels[: r.length] for c, r in zip(ctx, recs)]
-        )
+        mixed = scheduled_sampling_pass(model, batch_of(recs), 0.4, np.random.default_rng(4))
+        mismatch = self._mismatch(mixed, recs)
         want = 0.4 * 0.875
         sigma = np.sqrt(want * (1 - want) / mismatch.size)
         assert abs(mismatch.mean() - want) < 3 * sigma
 
     def test_deterministic_under_seed(self):
         model = self._uniform_model()
-        recs = markov_corpus(n=4, length=20, seed=5)
-        a = scheduled_sampling_pass(model, recs, 0.7, np.random.default_rng(9))
-        b = scheduled_sampling_pass(model, recs, 0.7, np.random.default_rng(9))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        batch = batch_of(markov_corpus(n=4, length=20, seed=5))
+        a = scheduled_sampling_pass(model, batch, 0.7, np.random.default_rng(9))
+        b = scheduled_sampling_pass(model, batch, 0.7, np.random.default_rng(9))
+        np.testing.assert_array_equal(a, b)
 
     def test_context_lengths_follow_records(self):
         model = self._uniform_model()
         recs = [markov_corpus(n=1, length=n, seed=n)[0] for n in (5, 17, 30)]
-        ctx = scheduled_sampling_pass(model, recs, 1.0, np.random.default_rng(0))
-        assert [len(c) for c in ctx] == [5, 17, 30]
-        assert all(0 <= c.min() and c.max() < 8 for c in ctx)
+        mixed = scheduled_sampling_pass(model, batch_of(recs), 1.0, np.random.default_rng(0))
+        assert mixed.shape == (3, 30)
+        assert [int((row != NOSEQ_CLASS).sum()) for row in mixed] == [5, 17, 30]
+        for row, r in zip(mixed, recs):
+            assert 0 <= row[: r.length].min() and row[: r.length].max() < 8
+            assert (row[r.length :] == NOSEQ_CLASS).all()
+
+    @pytest.mark.parametrize("rate", (0.0, 1.0))
+    def test_padding_comes_back_no_seq(self, rate):
+        """Stored labels past a record's length neither leak into the mixed
+        labels nor change a draw."""
+        model = self._uniform_model()
+        clean = [markov_corpus(n=1, length=n, seed=n)[0] for n in (9, 4, 12)]
+        dirty = []
+        for r in clean:
+            labels = r.labels.copy()
+            labels[r.length :] = 3
+            dirty.append(dataclasses.replace(r, labels=labels))
+        got = scheduled_sampling_pass(model, batch_of(dirty), rate, np.random.default_rng(6))
+        want = scheduled_sampling_pass(model, batch_of(clean), rate, np.random.default_rng(6))
+        np.testing.assert_array_equal(got, want)
+        for row, r in zip(got, dirty):
+            assert (row[r.length :] == NOSEQ_CLASS).all()
+
+    def test_unlabelled_batch_rejected(self):
+        recs = [dataclasses.replace(r, labels=None) for r in rule_corpus(n=2, length=5, seed=0)]
+        batch = batch_of(recs)
+        assert batch.labels is None
+        with pytest.raises(ParameterError):
+            scheduled_sampling_pass(self._uniform_model(), batch, 0.5, np.random.default_rng(0))
 
     def test_bad_rate_rejected(self):
-        recs = rule_corpus(n=1, length=5, seed=0)
+        batch = batch_of(rule_corpus(n=1, length=5, seed=0))
         with pytest.raises(ParameterError):
-            scheduled_sampling_pass(None, recs, -0.1, np.random.default_rng(0))
+            scheduled_sampling_pass(None, batch, -0.1, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            scheduled_sampling_pass(None, recs, 1.1, np.random.default_rng(0))
+            scheduled_sampling_pass(None, batch, 1.1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("rate", (0.3, 0.7, 1.0))
     @pytest.mark.parametrize("name", ("chained", "ablation_row6"))
@@ -194,10 +230,10 @@ class TestScheduledSampling:
         model = conditioned_shipped(name)
         recs = [rule_corpus(n=1, length=n, seed=n)[0] for n in (17, 0, 3, 40, 29)]
         rng_got, rng_want = np.random.default_rng(31), np.random.default_rng(31)
-        got = scheduled_sampling_pass(model, recs, rate, rng_got)
+        got = scheduled_sampling_pass(model, batch_of(recs), rate, rng_got)
         want = window_sampling_pass(model, recs, rate, rng_want)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        for row, w in zip(got, want):
+            np.testing.assert_array_equal(row[: len(w)], w)
         assert rng_got.random() == rng_want.random()
 
 
