@@ -395,10 +395,11 @@ def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
     kernel for small products, a blocked kernel above. In every shipped
     head the fc layers run the blocked kernel from 16 rows up and the 9-wide
     output layer the small-matrix one up to 128, so ``_score_rows`` uses a
-    floor of 16. ``Stepper``'s conv taps use a floor of 2, since one row
-    would go to gemv; at 256 rows a shipped trunk conv would leave the
-    small-matrix kernel. For the shipped configs the tests check both paths
-    bit-identical to ``forward``; other shapes can differ in the last bits.
+    floor of 16. ``Stepper``'s convs use a floor of 2, since one row would
+    go to gemv: each block runs one batched matmul, a 2-D sgemm per tap, so
+    at 256 rows a shipped trunk tap would leave the small-matrix kernel.
+    For the shipped configs the tests check both paths bit-identical to
+    ``forward``; other shapes can differ in the last bits.
     """
     rows = max(n, floor)
     blocks = -(-rows // 128)
@@ -406,20 +407,27 @@ def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
 
 
 class _Queue:
-    """The last ``size`` [rows, channels] columns pushed, in a ring. Columns
-    not yet pushed read as zeros, as masked positions do."""
+    """The last ``size`` [rows, channels] columns pushed, in a mirrored ring:
+    each column is stored twice, ``size`` slots apart, so any run of at most
+    ``size`` consecutive columns is one contiguous slice. Columns not yet
+    pushed read as zeros, as masked positions do."""
 
     def __init__(self, size: int, rows: int, channels: int):
-        self.columns = np.zeros((size, rows, channels), dtype=np.float32)
+        self.size = size
+        self.columns = np.zeros((2 * size, rows, channels), dtype=np.float32)
         self.pushed = 0
 
     def push(self, column: np.ndarray) -> None:
-        self.columns[self.pushed % len(self.columns)] = column
+        slot = self.pushed % self.size
+        self.columns[slot] = self.columns[slot + self.size] = column
         self.pushed += 1
 
-    def back(self, k: int) -> np.ndarray:
-        """The column pushed ``k`` pushes ago; 0 is the newest."""
-        return self.columns[(self.pushed - 1 - k) % len(self.columns)]
+    def span(self, k: int, n: int) -> np.ndarray:
+        """The [n, rows, channels] view of the ``n`` consecutive columns,
+        oldest first, whose newest was pushed ``k`` pushes ago (0: the newest
+        push); ``k + n`` must not exceed ``size``."""
+        start = (self.pushed - k - n) % self.size
+        return self.columns[start : start + n]
 
 
 class Stepper:
@@ -439,9 +447,11 @@ class Stepper:
 
     The scores are bit-identical to ``Model.forward_window`` over the same
     windows for the shipped configs (the tests check every one):
-    - each conv tap is a 2-D [rows, in] @ [in, out] matmul added onto a
-      copy of the bias in tap order, as in ``tensor.cropped_conv1d``, over
-      ``_row_blocks`` of 2 to 128 rows;
+    - a conv reads its taps as one ``_Queue.span`` and runs one batched
+      matmul per ``_row_blocks`` block of 2 to 128 rows, which is a 2-D
+      [rows, in] @ [in, out] sgemm per tap; one sum over the leading axis
+      then adds the bias and the taps in tap order, as the per-tap ``+=`` of
+      ``tensor.cropped_conv1d`` does;
     - batch norm, ReLU and the mask use the infer-mode expressions of
       ``tensor.batch_norm``, ``relu`` and ``apply_mask``;
     - the head scores through ``Model._score_rows``.
@@ -455,11 +465,12 @@ class Stepper:
         if mask.shape != features.shape[:2]:
             raise ShapeError(f"mask shape {mask.shape} != {features.shape[:2]}")
         self.model = model
-        self.n, length = mask.shape
+        self.n, self.length = mask.shape
         self._row_blocks = _row_blocks(self.n, 2)  # one row would go to gemv
         rows = self._row_blocks[-1][1]
         radius = model.receptive_field().radius
         # columns up to length - 1 + radius get pushed; past the buffer they are masked
+        length = self.length
         self._input = np.zeros((rows, length + radius, x.shape[2]), dtype=np.float32)
         self._input[: self.n, :length] = x
         self._mask = np.zeros((rows, length + radius), dtype=np.float32)
@@ -491,10 +502,12 @@ class Stepper:
     def push(self, labels: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 at the next position i, given
         the [n] labels y[i-1] (the no-seq label for i = 0) that condition it."""
+        if self._column == self._input.shape[1]:
+            raise ParameterError(f"all {self.length} positions of the batch are already scored")
         self._advance(labels)
-        fc_window = self.model.config.fc_window
-        rows = [self._head_queue.back(fc_window - 1 - t)[: self.n] for t in range(fc_window)]
-        return self.model._score_rows(np.concatenate(rows, axis=1))
+        window = self._head_queue.span(0, self._head_queue.size)[:, : self.n]
+        return self.model._score_rows(
+            window.transpose(1, 0, 2).reshape(self.n, window.shape[0] * window.shape[2]))
 
     def _advance(self, labels) -> None:
         """Push input column i + radius with context ``labels`` through the trunk."""
@@ -522,15 +535,17 @@ class Stepper:
         return h, col
 
     def _conv(self, lp: T.LayerParams, queue: _Queue, at: int) -> np.ndarray:
-        """The conv's output column centered ``at`` columns behind the newest."""
+        """The conv's output column centered ``at`` columns behind the newest:
+        every tap's product in one batched matmul, summed in tap order onto
+        the bias."""
         filt = lp.weights.data
         width = filt.shape[0]
-        acc = np.broadcast_to(lp.biases.data, (queue.columns.shape[1], filt.shape[2])).copy()
-        for w in range(width):
-            x = queue.back(at + width // 2 - w)
-            for lo, hi in self._row_blocks:
-                acc[lo:hi] += x[lo:hi] @ filt[w]
-        return acc
+        taps = queue.span(at - width // 2, width)
+        terms = np.empty((width + 1, taps.shape[1], filt.shape[2]), dtype=np.float32)
+        terms[0] = lp.biases.data
+        for lo, hi in self._row_blocks:
+            np.matmul(taps[:, lo:hi], filt, out=terms[1:, lo:hi])
+        return terms.sum(axis=0)
 
     def _norm_relu(self, x: np.ndarray, stats, col: int) -> np.ndarray:
         mean, inv, scale, shift = stats

@@ -16,6 +16,7 @@ from chaincnn.model import (
     Model,
     ModelConfig,
     Stepper,
+    _Queue,
     build,
     parameter_count,
     receptive_field,
@@ -546,6 +547,86 @@ class TestStepperMatchesWindowPath:
             stepper.push(np.zeros(2, dtype=np.int64))
         with pytest.raises(ParameterError):
             stepper.push(np.array([0, 9, 1]))
+        for _ in range(10):
+            stepper.push(np.zeros(3, dtype=np.int64))
+        with pytest.raises(ParameterError, match="all 10 positions"):
+            stepper.push(np.zeros(3, dtype=np.int64))
+
+
+class TestQueue:
+    @pytest.mark.parametrize("size", (1, 2, 3, 5))
+    def test_span_matches_a_list_of_pushes(self, size):
+        """``span(k, n)`` equals the same run of a plain list of every pushed
+        column, zeros before the first push, across three wraps of the ring."""
+        rows, channels = 2, 3
+        queue = _Queue(size, rows, channels)
+        rng = np.random.default_rng(size)
+        history = [np.zeros((rows, channels), dtype=np.float32)] * size
+        for _ in range(3 * size + 1):
+            for n in range(1, size + 1):
+                for k in range(size - n + 1):
+                    np.testing.assert_array_equal(
+                        queue.span(k, n), np.stack(history[len(history) - k - n:][:n]))
+            column = rng.standard_normal((rows, channels)).astype(np.float32)
+            queue.push(column)
+            history.append(column)
+
+
+class PerTapStepper(Stepper):
+    """``Stepper`` with a conv that loops over taps: each tap's 2-D matmul,
+    per row block, added onto a copy of the bias in tap order."""
+
+    def _conv(self, lp, queue, at):
+        filt = lp.weights.data
+        width = filt.shape[0]
+        taps = queue.span(at - width // 2, width)
+        acc = np.broadcast_to(lp.biases.data, (taps.shape[1], filt.shape[2])).copy()
+        for w in range(width):
+            for lo, hi in self._row_blocks:
+                acc[lo:hi] += taps[w, lo:hi] @ filt[w]
+        return acc
+
+
+class TestStepperMatchesPerTapOracle:
+    """The batched conv issues the same sgemm calls as a per-tap loop and sums
+    their products in the same order, so unlike the cross-path tests this
+    holds on every BLAS core, not only on the one whose row rounding the
+    window path relies on."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_configs(self, name):
+        model = conditioned_shipped(name)
+        rf = model.receptive_field()
+        for rows in (1, 2, 8, 17, 130):
+            rng = np.random.default_rng(rows)
+            lengths = [int(n) for n in rng.integers(0, rf.radius + 6, size=rows)]
+            records = [rule_corpus(n=1, length=n, seed=k)[0] for k, n in enumerate(lengths)]
+            labels = [rng.integers(0, 8, size=n) for n in lengths]
+            max_len = max(lengths)
+            feats = np.stack([r.features[:max_len] for r in records])
+            mask = np.stack([r.mask[:max_len] for r in records])
+            stepper, oracle = Stepper(model, feats, mask), PerTapStepper(model, feats, mask)
+            for i in range(max_len):
+                previous = np.array([y[i - 1] if 0 < i <= len(y) else NOSEQ_CLASS
+                                     for y in labels])
+                np.testing.assert_array_equal(stepper.push(previous), oracle.push(previous))
+
+    def test_tap_sum_is_in_order(self):
+        """numpy reduces a leading axis one slice at a time, in order, which
+        is what keeps the batched conv's sum equal to the per-tap ``+=``."""
+        rng = np.random.default_rng(0)
+        for width in (1, 3, 5, 7, 9, 11):
+            for rows in (1, 2, 17, 130):
+                for out in (8, 64, 455):
+                    shape = (width + 1, rows, out)
+                    terms = (rng.standard_normal(shape)
+                             * 10.0 ** rng.uniform(-4, 4, shape)).astype(np.float32)
+                    acc = terms[0].copy()
+                    for term in terms[1:]:
+                        acc += term
+                    np.testing.assert_array_equal(terms.sum(axis=0), acc)
+        # the guard can fail: the same terms summed in another order round apart
+        assert not np.array_equal(terms[::-1].sum(axis=0), acc)
 
 
 class TestInputStandardization:
