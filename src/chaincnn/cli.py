@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteError,
     UsageError,
 )
-from .inference import Ensemble, beam_search, decode_independent
+from .inference import DEFAULT_BEAM_WIDTH, Ensemble, beam_search, decode_independent
 from .metrics import confusion_matrix, q8, render_report
 from .model import BlockSpec, ModelConfig, build
 from .training import (
@@ -206,8 +206,11 @@ def read_config_source(name: str) -> tuple[str, str]:
     (``ablation_row1`` .. ``ablation_row9``, ``chained``).
     """
     if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            return fh.read(), name
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                return fh.read(), name
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{name}: not UTF-8 text: {err}") from err
     base = name if name.endswith(".cfg") else name + ".cfg"
     candidate = resources.files("chaincnn") / "configs" / base
     if candidate.is_file():
@@ -385,7 +388,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="one checkpoint, or several to form an ensemble")
     p.add_argument("--data", help="directory with corpus and optional test files")
     p.add_argument("--split", choices=("validation", "test"), default="validation")
-    p.add_argument("--beam-width", type=int, default=8,
+    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH,
                    help="beam width for conditioned models")
     p.add_argument("--raw", action="store_true",
                    help="print raw doubles instead of 3-decimal rounding")
@@ -394,7 +397,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", nargs="+", required=True)
     p.add_argument("--input", required=True, help="native-format fixture file")
     p.add_argument("--output", required=True, help="destination for id<TAB>letters lines")
-    p.add_argument("--beam-width", type=int, default=8)
+    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
 
     p = sub.add_parser("ablate", help="train one row of the ablation ladder")
     p.add_argument("--row", type=int, required=True, help="ladder row, 1..9")

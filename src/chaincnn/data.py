@@ -29,6 +29,7 @@ NUM_FEATURES = 42
 NUM_PSSM = 21
 NUM_CLASSES = 9
 NOSEQ_CLASS = 8
+NUM_REAL_CLASSES = 8  # the structure classes; NOSEQ_CLASS marks padding
 
 # Residue letter order matches the source one-hot column order; 'X' is
 # the unknown-residue catch-all. Class letters follow the label block's
@@ -177,10 +178,10 @@ def records_from_matrix(mat: np.ndarray) -> list[ProteinRecord]:
     """Decode an [n, 39900] (or [n, 700, 57]) matrix into records."""
     if mat.ndim == 2:
         if mat.shape[1] != SEQ_LEN * SOURCE_COLUMNS:
-            raise ShapeError(f"matrix has {mat.shape[1]} columns, expected {SEQ_LEN * SOURCE_COLUMNS}")
+            raise DataFormatError(f"matrix has {mat.shape[1]} columns, expected {SEQ_LEN * SOURCE_COLUMNS}")
         mat = mat.reshape(-1, SEQ_LEN, SOURCE_COLUMNS)
     if mat.ndim != 3 or mat.shape[1:] != (SEQ_LEN, SOURCE_COLUMNS):
-        raise ShapeError(f"matrix shape {mat.shape} is not [n, 700, 57]")
+        raise DataFormatError(f"matrix shape {mat.shape} is not [n, 39900] or [n, 700, 57]")
     return [decode_record(mat[i], rid=f"p{i:05d}") for i in range(mat.shape[0])]
 
 
@@ -315,8 +316,11 @@ def load_native(path: str) -> list[ProteinRecord]:
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             parts = line.split("\t")

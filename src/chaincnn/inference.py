@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NOSEQ_CLASS, ProteinRecord, make_batch
+from .data import NOSEQ_CLASS, NUM_REAL_CLASSES, ProteinRecord, make_batch
 from .errors import ModeError, ParameterError
 from .model import Model
 from .tensor import log_softmax
 
-NUM_REAL_CLASSES = 8
 DEFAULT_BEAM_WIDTH = 8
 
 
@@ -103,9 +102,10 @@ def _mean_over_members(scores: list[np.ndarray]) -> np.ndarray:
 def ensemble_step_score(members, features, mask, context=None) -> np.ndarray:
     """Per-class averaged log probabilities over the 8 structure classes.
 
-    ``features``/``mask`` may be a single window or a batch of windows;
-    returns (8,) or (batch, 8) float64 accordingly. ``members`` come from
-    one validated ``Ensemble`` or a single model, so they agree on mode.
+    ``features``/``mask``/``context`` are a batch of windows, as
+    ``Model.forward_window`` takes them; returns (batch, 8) float64.
+    ``members`` come from one validated ``Ensemble`` or a single model, so
+    they agree on mode.
     """
     members = tuple(members)
     if not members:

@@ -8,10 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASS_LETTERS
+from .data import CLASS_LETTERS, NUM_REAL_CLASSES
 from .errors import ParameterError, ShapeError
-
-NUM_REAL_CLASSES = 8
 
 
 def _check_alignment(predictions, records) -> None:

@@ -336,10 +336,11 @@ class Model:
     ) -> np.ndarray:
         """Log probabilities at the center of a receptive-field-sized window.
 
-        features: [width, 42] or [batch, width, 42] raw features; mask
-        marks real positions inside the window; for conditioned models
-        ``context`` gives, per window position, the already-shifted label
-        index (0..8), as in ``forward``. Returns [9] or [batch, 9] float64.
+        features: [batch, width, 42] raw features; mask [batch, width]
+        marks real positions inside each window; for conditioned models
+        ``context`` [batch, width] gives, per window position, the already-
+        shifted label index (0..8), as in ``forward``. Returns [batch, 9]
+        float64.
 
         Only what the center logit depends on is computed. The trunk runs
         as a valid-convolution pyramid (for ``chained``: 43 -> 35 -> 27 ->
@@ -356,20 +357,13 @@ class Model:
         one column), so there the match is only to float32 rounding.
         """
         features = np.asarray(features, dtype=np.float32)
-        squeeze = features.ndim == 2
-        if squeeze:
-            features = features[None]
-            mask = np.asarray(mask)[None]
-            context = None if context is None else np.asarray(context)[None]
         width = self.receptive_field().width
-        if features.shape[1] != width:
-            raise ShapeError(
-                f"window length {features.shape[1]} != receptive field width {width}"
-            )
+        if features.ndim != 3 or features.shape[1] != width:
+            raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows "
+                             f"(width = receptive field), got {features.shape}")
         features = self._with_context(features, context)
         trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
-        center = self._score_rows(trunk.reshape(trunk.shape[0], -1))
-        return center[0] if squeeze else center
+        return self._score_rows(trunk.reshape(trunk.shape[0], -1))
 
     def _score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of

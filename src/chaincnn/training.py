@@ -11,15 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import chaincnn.tensor as T
-from .data import NOSEQ_CLASS, Batch, DatasetSplit, make_batch
+from .data import NOSEQ_CLASS, NUM_REAL_CLASSES, Batch, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
-from .inference import NUM_REAL_CLASSES, beam_search
+from .inference import beam_search, decode_independent
 from .metrics import q8 as metrics_q8
 from .model import Model, Stepper
 
 CHECKPOINT_MAGIC = b"CCNN"
 CHECKPOINT_VERSION = 1
-RERANK_BEAM_WIDTH = 8
 RERANK_SNAPSHOTS = 3
 
 # (lr_init, lr_decay_factor, lr_decay_every) per architecture family
@@ -130,38 +129,28 @@ def scheduled_sampling_pass(model, batch: Batch, rate: float, rng) -> np.ndarray
     return mixed
 
 
-def evaluate_q8(model, records, batch_size: int = 50) -> float:
-    """Per-position argmax Q8 in infer mode.
+def evaluate_q8(model, records) -> float:
+    """Validation Q8 of per-position argmax predictions, one record per
+    forward in infer mode, counted by ``metrics.q8``.
 
-    Conditioned models are scored teacher-forced, with
-    ``model.label_context`` of the ground-truth labels as context, which is
-    the cheap next-step accuracy used for early stopping; for unconditioned
-    models this is exactly independent decoding.
+    An unconditioned model decodes through ``decode_independent``. A
+    conditioned one is scored teacher-forced, with ``model.label_context``
+    of the record's ground-truth labels as context: the cheap next-step
+    accuracy that early stopping watches.
     """
-    if not records:
-        raise ParameterError("cannot evaluate over zero records")
-    correct = 0
-    total = 0
-    for start in range(0, len(records), batch_size):
-        chunk = records[start : start + batch_size]
-        length = max(r.length for r in chunk)
-        if length == 0:
-            continue
-        batch = make_batch(chunk, length=length)
-        context = model.label_context(batch.labels) if model.config.conditioned else None
-        logits = model.forward(batch.features, batch.mask, context).data
-        pred = logits[..., :8].argmax(axis=2)
-        hits = batch.mask > 0
-        correct += int(np.count_nonzero((pred == batch.labels) & hits))
-        total += int(np.count_nonzero(hits))
-    if total == 0:
-        raise ParameterError("no masked-in residues to evaluate")
-    return correct / total
+    if not model.config.conditioned:
+        return metrics_q8([decode_independent(model, r) for r in records], records)
+    preds = []
+    for r in records:
+        batch = make_batch([r], length=max(r.length, 1))
+        logits = model.forward(batch.features, batch.mask, model.label_context(batch.labels))
+        preds.append(logits.data[0, : r.length, :NUM_REAL_CLASSES].argmax(axis=1))
+    return metrics_q8(preds, records)
 
 
-def beam_q8(model, records, beam_width: int = RERANK_BEAM_WIDTH) -> float:
-    """Validation Q8 under full beam-search decoding."""
-    preds = [beam_search(model, r, beam_width) for r in records]
+def beam_q8(model, records) -> float:
+    """Validation Q8 under full beam-search decoding at the default width."""
+    preds = [beam_search(model, r) for r in records]
     return metrics_q8(preds, records)
 
 
@@ -252,7 +241,12 @@ def load_checkpoint(path) -> Checkpoint:
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        raw_name = take(name_len, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: tensor name at byte {offset - name_len} "
+                                  f"is not UTF-8: {err}") from err
         dtype_code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
         if dtype_code != 0:
             raise CheckpointError(f"{path}: unknown dtype code {dtype_code} for {name!r}")
@@ -318,12 +312,12 @@ def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
 def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Checkpoint:
     """Run the training loop and return the best checkpoint by validation Q8.
 
-    Early stopping evaluates every ``eval_every`` steps (teacher-forced
-    next-step Q8 for conditioned models) and stops after more than
-    ``patience`` consecutive non-improving evaluations. For conditioned
-    models the final pick re-scores the last three improving snapshots with
-    full beam-search Q8 on the validation set. The model is left holding the
-    returned checkpoint's weights.
+    Early stopping runs ``evaluate_q8`` every ``eval_every`` steps
+    (teacher-forced next-step Q8 for conditioned models) and stops after
+    more than ``patience`` consecutive non-improving evaluations. For
+    conditioned models the final pick re-scores the last three improving
+    snapshots with full beam-search Q8 on the validation set. The model is
+    left holding the returned checkpoint's weights.
     """
     config.validate()
     if not data.train:
@@ -368,7 +362,7 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
         if log is not None and iteration % config.log_every == 0:
             log(f"iter={iteration} loss={loss_value:.6f} lr={lr:.6e} rate={rate:.3f}")
         if iteration % config.eval_every == 0 or iteration == config.max_iterations:
-            val_q8 = evaluate_q8(model, data.validation, config.batch_size)
+            val_q8 = evaluate_q8(model, data.validation)
             if val_q8 > best:
                 best = val_q8
                 stale_evals = 0

@@ -234,6 +234,24 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.ckpt")])
         assert code == 1
 
+    def test_non_utf8_config_exit_1(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(TINY_CFG.encode() + b"# \xff\n")
+        code = main(["train", "--config", str(path), "--data", data_dir,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("shape", ((2, 39200), (5,)))
+    def test_wrong_corpus_shape_exit_2(self, tmp_path, tiny_cfg, shape, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        np.save(d / "corpus.npy", np.zeros(shape, dtype=np.float32))
+        code = main(["train", "--config", tiny_cfg, "--data", str(d),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: matrix ")
+
     def test_seeded_runs_byte_identical(self, tmp_path, tiny_cfg, data_dir):
         a = run_train(tmp_path, tiny_cfg, data_dir, "a.ckpt")
         b = run_train(tmp_path, tiny_cfg, data_dir, "b.ckpt")
@@ -319,6 +337,15 @@ class TestEvalCommand:
         with open(out, "r+b") as fh:
             fh.truncate(20)
         assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
+
+    def test_non_utf8_tensor_name_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        with open(out, "r+b") as fh:
+            fh.seek(14)  # magic, version, count, name length: the first name byte
+            fh.write(b"\xff")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: tensor name at byte 14")
 
     def test_zero_pssm_std_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
@@ -434,6 +461,17 @@ class TestPredictCommand:
                      "--output", str(tmp_path / "preds.txt")])
         assert code == 2
         assert ":1" in capsys.readouterr().err
+
+    def test_non_utf8_input_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        fixture = str(tmp_path / "in.txt")
+        save_native(rule_corpus(n=1, length=5, seed=2), fixture)
+        with open(fixture, "r+b") as fh:
+            fh.write(b"\xff")
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", out, "--input", fixture,
+                     "--output", str(tmp_path / "p.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fixture}: not UTF-8 text")
 
 
 class TestAblateCommand:

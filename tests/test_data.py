@@ -122,6 +122,11 @@ class TestDecodeRecord:
         assert [r.labels[0] for r in recs] == [0, 1, 2]
         assert recs[0].id == "p00000"
 
+    @pytest.mark.parametrize("shape", ((2, 39200), (5,), (2, 700, 56)))
+    def test_wrong_matrix_shape_is_a_data_error(self, shape):
+        with pytest.raises(DataFormatError, match="expected 39900|not \\[n, 39900\\]"):
+            D.records_from_matrix(np.zeros(shape, dtype=np.float32))
+
 
 class TestNormalizePssm:
     def _records_with_column(self, values, col=0):

@@ -62,7 +62,7 @@ def greedy_decode(members, record):
         feats, mask = extract_window(record, i, rf.radius)
         ctx = context_window(np.array(labels, dtype=np.int64), i, rf.radius,
                              rf.conditioning_shift, length)
-        scores = ensemble_step_score(members, feats, mask, ctx)
+        scores = ensemble_step_score(members, feats[None], mask[None], ctx[None])[0]
         labels.append(int(np.argmax(scores)))
     return np.array(labels, dtype=np.int64)
 
@@ -150,8 +150,9 @@ class TestEnsembleStepScore:
         rf = cond_model.receptive_field()
         feats, mask = extract_window(rec, 5, rf.radius)
         ctx = context_window(rec.labels, 5, rf.radius, rf.conditioning_shift, 12)
-        out = ensemble_step_score([cond_model], feats, mask, ctx)
-        np.testing.assert_array_equal(out, cond_model.forward_window(feats, mask, ctx)[:8])
+        out = ensemble_step_score([cond_model], feats[None], mask[None], ctx[None])
+        np.testing.assert_array_equal(
+            out, cond_model.forward_window(feats[None], mask[None], ctx[None])[:, :8])
 
 
 class TestDecodeIndependent:

@@ -363,7 +363,7 @@ class TestForwardWindow:
         full = model.forward(batch.features, batch.mask).data
         for center in (0, 5, 30, 59):
             feats, mask, _ = self._window_inputs(rec, center, radius)
-            got = model.forward_window(feats, mask)
+            got = model.forward_window(feats[None], mask[None])[0]
             want = T.log_softmax(full[0, center])
             np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -377,7 +377,7 @@ class TestForwardWindow:
             feats, mask, ctx = self._window_inputs(
                 rec, center, rf.radius, conditioned_shift=rf.conditioning_shift
             )
-            got = model.forward_window(feats, mask, ctx)
+            got = model.forward_window(feats[None], mask[None], ctx[None])[0]
             want = T.log_softmax(full[0, center])
             np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -388,7 +388,7 @@ class TestForwardWindow:
         singles, feats, masks = [], [], []
         for center in (3, 11, 22):
             f, m, _ = self._window_inputs(rec, center, radius)
-            singles.append(model.forward_window(f, m))
+            singles.append(model.forward_window(f[None], m[None])[0])
             feats.append(f)
             masks.append(m)
         batched = model.forward_window(np.stack(feats), np.stack(masks))
@@ -398,17 +398,21 @@ class TestForwardWindow:
         plain = build(small_config(), np.random.default_rng(1))
         cond = build(small_config(conditioned=True), np.random.default_rng(1))
         width = plain.receptive_field().width
-        feats = np.zeros((width, 42), dtype=np.float32)
-        mask = np.ones(width, dtype=np.float32)
+        feats = np.zeros((1, width, 42), dtype=np.float32)
+        mask = np.ones((1, width), dtype=np.float32)
         with pytest.raises(ModeError):
             cond.forward_window(feats, mask)
         with pytest.raises(ModeError):
-            plain.forward_window(feats, mask, np.zeros(width, dtype=np.int64))
+            plain.forward_window(feats, mask, np.zeros((1, width), dtype=np.int64))
 
     def test_wrong_width_rejected(self):
         model = build(small_config(), np.random.default_rng(1))
+        width = model.receptive_field().width
         with pytest.raises(ShapeError):
-            model.forward_window(np.zeros((5, 42), dtype=np.float32), np.ones(5))
+            model.forward_window(np.zeros((1, 5, 42), dtype=np.float32), np.ones((1, 5)))
+        # an unstacked window is rejected with the stacked shape it needs
+        with pytest.raises(ShapeError, match=rf"\[batch, {width}, 42\]"):
+            model.forward_window(np.zeros((width, 42), dtype=np.float32), np.ones(width))
 
 
 class TestForwardWindowMatchesOracle:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chaincnn.tensor as T
+from chaincnn import metrics, training
 from chaincnn.data import NOSEQ_CLASS, DatasetSplit, make_batch
 from chaincnn.errors import CheckpointError, NonFiniteError, ParameterError
 from chaincnn.inference import decode_independent, step_scores
@@ -27,8 +28,8 @@ from chaincnn.training import (
     scheduled_sampling_pass,
     train,
 )
-from corpus import markov_corpus, rule_corpus
-from test_model import conditioned_shipped, small_config
+from corpus import markov_corpus, rule_corpus, shipped_model
+from test_model import conditioned_shipped, randomized_stats_model, small_config
 
 FC = TrainConfig(lr_init=4e-4, lr_decay_factor=0.5, lr_decay_every=35000,
                  max_iterations=1)
@@ -237,6 +238,32 @@ class TestScheduledSampling:
         assert rng_got.random() == rng_want.random()
 
 
+def padded_batch_predictions(model, records, batch_size):
+    """Padded-batch reference for ``evaluate_q8``: chunks of ``batch_size``
+    records padded to their longest record, one forward per chunk
+    (teacher-forced for a conditioned model), then the argmax over the 8
+    structure classes. Returns each record's predictions over its length."""
+    preds = []
+    for start in range(0, len(records), batch_size):
+        chunk = records[start : start + batch_size]
+        length = max(r.length for r in chunk)
+        if length == 0:
+            preds += [np.zeros(0, dtype=np.int64) for _ in chunk]
+            continue
+        batch = make_batch(chunk, length=length)
+        context = model.label_context(batch.labels) if model.config.conditioned else None
+        logits = model.forward(batch.features, batch.mask, context).data
+        pred = logits[..., :8].argmax(axis=2)
+        preds += [p[: r.length] for p, r in zip(pred, chunk)]
+    return preds
+
+
+def mixed_length_corpus(n=24, seed=0):
+    lengths = np.random.default_rng(seed).integers(3, 41, size=n)
+    return [rule_corpus(n=1, length=int(length), seed=seed + i)[0]
+            for i, length in enumerate(lengths)]
+
+
 class TestEvaluateQ8:
     def test_matches_independent_decoding(self):
         model = build(tiny_config(), np.random.default_rng(1))
@@ -245,7 +272,34 @@ class TestEvaluateQ8:
         manual = sum(
             int((p == r.labels[: r.length]).sum()) for p, r in zip(preds, recs)
         ) / sum(r.length for r in recs)
-        assert evaluate_q8(model, recs, batch_size=2) == manual
+        assert evaluate_q8(model, recs) == manual
+
+    @pytest.mark.parametrize("conditioned", (False, True), ids=("plain", "conditioned"))
+    def test_matches_padded_batch_reference(self, conditioned, monkeypatch):
+        config = dataclasses.replace(shipped_model("ablation_row9"), conditioned=conditioned)
+        model = randomized_stats_model(config, 21)
+        recs = mixed_length_corpus()
+        seen = []
+
+        def spy(preds, records):
+            seen.append(preds)
+            return metrics.q8(preds, records)
+
+        monkeypatch.setattr(training, "metrics_q8", spy)
+        got = evaluate_q8(model, recs)
+        (preds,) = seen
+        for batch_size in (2, 50):
+            want = padded_batch_predictions(model, recs, batch_size)
+            for p, w in zip(preds, want, strict=True):
+                np.testing.assert_array_equal(p, w)
+        assert got == metrics.q8(want, recs)
+
+    @pytest.mark.parametrize("conditioned", (False, True), ids=("plain", "conditioned"))
+    def test_zero_length_record_changes_nothing(self, conditioned):
+        model = build(tiny_config(conditioned), np.random.default_rng(4))
+        recs = rule_corpus(n=3, length=12, seed=8)
+        empty = rule_corpus(n=1, length=0, seed=9)
+        assert evaluate_q8(model, recs[:1] + empty + recs[1:]) == evaluate_q8(model, recs)
 
     def test_empty_records_rejected(self):
         model = build(tiny_config(), np.random.default_rng(1))
