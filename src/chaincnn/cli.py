@@ -7,8 +7,10 @@ key is validated against a fixed schema and unknown keys are rejected.
 
 A data directory holds the training corpus as ``corpus.npy`` (raw source
 matrix) or ``corpus.txt`` (native text format), plus an optional
-``test.npy``/``test.txt`` holdout. Training writes ``<out>.cfg`` next to the
-checkpoint so eval/predict can rebuild the architecture.
+``test.npy``/``test.txt`` holdout. Each command reads only the file it uses:
+``train`` and ``eval --split validation`` the corpus, ``eval --split test``
+the holdout. Training writes ``<out>.cfg`` next to the checkpoint so
+eval/predict can rebuild the architecture.
 """
 
 import argparse
@@ -37,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .inference import DEFAULT_BEAM_WIDTH, Ensemble, beam_search, decode_independent
-from .metrics import confusion_matrix, q8, render_report
+from .metrics import confusion_matrix, render_report
 from .model import BlockSpec, ModelConfig, build
 from .training import (
     TrainConfig,
@@ -237,33 +239,32 @@ def load_run_config(name: str, sets, seed_override: int | None = None) -> RunCon
 # data plumbing
 
 
-def _corpus_file(data_dir: str, stem: str) -> str | None:
-    for ext in (".npy", ".txt"):
-        path = os.path.join(data_dir, stem + ext)
-        if os.path.exists(path):
-            return path
-    return None
+def load_records(data_dir: str | None, stem: str):
+    """The labelled records of ``{stem}.npy``, or else ``{stem}.txt``, in ``data_dir``.
 
-
-def _read_records(path: str):
-    if path.endswith(".npy"):
-        return records_from_matrix(load_npy(path))
-    return load_native(path)
-
-
-def load_records(data_dir: str):
+    Exactly one file is read. Every caller scores against labels, so a record
+    without them is a data error naming the file and the record.
+    """
+    if data_dir is None:
+        raise UsageError("no data directory: pass --data or set 'data =' in the config")
     if not os.path.isdir(data_dir):
         raise DataFormatError(f"data directory {data_dir!r} does not exist")
-    corpus_path = _corpus_file(data_dir, "corpus")
-    if corpus_path is None:
-        raise DataFormatError(f"no corpus.npy or corpus.txt in {data_dir!r}")
-    test_path = _corpus_file(data_dir, "test")
-    return _read_records(corpus_path), (_read_records(test_path) if test_path else [])
+    path = os.path.join(data_dir, stem + ".npy")
+    if os.path.exists(path):
+        records = records_from_matrix(load_npy(path))
+    elif os.path.exists(path := os.path.join(data_dir, stem + ".txt")):
+        records = load_native(path)
+    else:
+        raise DataFormatError(f"no {stem}.npy or {stem}.txt in {data_dir!r}")
+    unlabelled = next((r.id for r in records if r.labels is None), None)
+    if unlabelled is not None:
+        raise DataFormatError(f"{path}: record {unlabelled} has no labels")
+    return records
 
 
-def prepare_split(run: RunConfig, data_dir: str):
-    records, test = load_records(data_dir)
-    return split_records(records, n_val=run.n_validation, seed=run.training.seed, test=test)
+def prepare_split(run: RunConfig, data_dir: str | None):
+    return split_records(load_records(data_dir, "corpus"),
+                         n_val=run.n_validation, seed=run.training.seed)
 
 
 def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
@@ -292,8 +293,6 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
 
 
 def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
-    if data_dir is None:
-        raise UsageError("no data directory: pass --data or set 'data =' in the config")
     split = prepare_split(run, data_dir)
     model = build(run.model, np.random.default_rng(run.training.seed))
     mean, std = compute_pssm_stats(split.train)
@@ -317,13 +316,8 @@ def cmd_eval(args) -> int:
     ensemble, runs = _load_ensemble(args.ckpt)
     run = runs[0]
     data_dir = args.data or run.data_dir
-    if data_dir is None:
-        raise UsageError("no data directory: pass --data or set 'data =' in the config")
-    records, test = load_records(data_dir)
     if args.split == "test":
-        if not test:
-            raise DataFormatError(f"no test.npy or test.txt in {data_dir!r}")
-        chosen = test
+        chosen = load_records(data_dir, "test")
     else:
         # the validation split follows from these; members must agree on it
         def split_of(r):
@@ -334,11 +328,9 @@ def cmd_eval(args) -> int:
                 raise ConfigError(
                     f"{path} was trained on another validation split than {args.ckpt[0]} "
                     "(seed, n_validation or data differ); use --split test")
-        chosen = split_records(records, n_val=run.n_validation,
-                               seed=run.training.seed).validation
+        chosen = prepare_split(run, data_dir).validation
     preds = _decode_all(ensemble, chosen, args.beam_width)
-    report = render_report(q8(preds, chosen), confusion_matrix(preds, chosen),
-                           digits=None if args.raw else 3)
+    report = render_report(confusion_matrix(preds, chosen), digits=None if args.raw else 3)
     print(report, end="")
     return 0
 

@@ -87,6 +87,12 @@ class ProteinRecord:
 
 @dataclass(frozen=True)
 class DatasetSplit:
+    """Training, validation and held-out test records.
+
+    The CLI leaves ``test`` empty: ``eval --split test`` reads the test file
+    itself, so training never holds it in memory.
+    """
+
     train: list[ProteinRecord]
     validation: list[ProteinRecord]
     test: list[ProteinRecord]
@@ -228,14 +234,15 @@ def apply_pssm_stats(features: np.ndarray, mean: np.ndarray, std: np.ndarray) ->
 # splitting and batching
 
 
-def split_records(records, n_val: int = 256, seed: int = 0, test=()) -> DatasetSplit:
-    """Deterministic shuffled split: first ``n_val`` shuffled records validate."""
+def split_records(records, n_val: int = 256, seed: int = 0) -> DatasetSplit:
+    """Deterministic shuffled split: first ``n_val`` shuffled records validate;
+    ``test`` is empty."""
     if n_val < 0 or n_val > len(records):
         raise ParameterError(f"n_val={n_val} out of range for {len(records)} records")
     perm = np.random.default_rng(seed).permutation(len(records))
     shuffled = [records[i] for i in perm]
     return DatasetSplit(
-        train=shuffled[n_val:], validation=shuffled[:n_val], test=list(test), seed=seed
+        train=shuffled[n_val:], validation=shuffled[:n_val], test=[], seed=seed
     )
 
 

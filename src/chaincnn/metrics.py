@@ -1,4 +1,5 @@
-"""Q8 accuracy, per-class precision/recall, and bootstrap spread over ensembles.
+"""Q8 accuracy and per-class precision/recall from one confusion matrix, and
+bootstrap spread over ensembles.
 
 All metrics run over masked-in residues and the 8 real structure classes
 only; padding and the no-seq class never enter any count.
@@ -27,23 +28,17 @@ def _check_alignment(predictions, records) -> None:
 
 
 def q8(predictions, records) -> float:
-    """Fraction of masked-in residues predicted correctly.
+    """Fraction of masked-in residues predicted correctly: the trace of
+    ``confusion_matrix`` over its total.
 
     Each prediction must cover at least the record's masked-in prefix; any
     entries beyond it are padding positions and are ignored.
     """
-    if not records:
-        raise ParameterError("q8 is undefined over zero records")
-    _check_alignment(predictions, records)
-    correct = 0
-    total = 0
-    for pred, rec in zip(predictions, records):
-        n = rec.length
-        correct += int(np.count_nonzero(np.asarray(pred[:n]) == rec.labels[:n]))
-        total += n
+    cm = confusion_matrix(predictions, records)
+    total = int(cm.sum())
     if total == 0:
         raise ParameterError("q8 is undefined: no masked-in residues")
-    return correct / total
+    return int(cm.trace()) / total
 
 
 def confusion_matrix(predictions, records) -> np.ndarray:
@@ -114,10 +109,12 @@ def bootstrap_stderr(pool, subset_size: int, n_draws: int, eval_fn, rng) -> tupl
     return float(values.mean()), stderr
 
 
-def render_report(q8_value: float, cm: np.ndarray, bootstrap=None, digits: int | None = None) -> str:
-    """Structured text report: sections q8, per_class, and optionally bootstrap.
+def render_report(cm: np.ndarray, digits: int | None = None) -> str:
+    """Structured text report of one confusion matrix: sections q8 and per_class.
 
-    ``digits`` rounds values for display; None emits raw doubles.
+    Q8 is the matrix's trace over its total, so it always agrees with the
+    per-class rows. ``digits`` rounds values for display; None emits raw
+    doubles.
     """
 
     def fmt(x):
@@ -125,14 +122,11 @@ def render_report(q8_value: float, cm: np.ndarray, bootstrap=None, digits: int |
             return "absent"
         return f"{x:.{digits}f}" if digits is not None else repr(float(x))
 
-    lines = ["[q8]", f"q8 = {fmt(q8_value)}", "", "[per_class]"]
-    for row in precision_recall(cm):
+    rows = precision_recall(cm)
+    lines = ["[q8]", f"q8 = {fmt(int(np.trace(cm)) / int(np.sum(cm)))}", "", "[per_class]"]
+    for row in rows:
         lines.append(
             f"{row.letter} precision={fmt(row.precision)} "
             f"recall={fmt(row.recall)} frequency={fmt(row.frequency)}"
         )
-    if bootstrap is not None:
-        mean, stderr, n_draws = bootstrap
-        lines += ["", "[bootstrap]", f"mean = {fmt(mean)}",
-                  f"stderr = {fmt(stderr)}", f"n_draws = {n_draws}"]
     return "\n".join(lines) + "\n"

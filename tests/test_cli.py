@@ -252,6 +252,22 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: matrix ")
 
+    @pytest.mark.parametrize("config", ["ablation_row2", "chained"])
+    def test_unlabelled_corpus_exit_2(self, tmp_path, config, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        records = [dataclasses.replace(r, labels=None) for r in rule_corpus(n=12, length=30)]
+        save_native(records, str(d / "corpus.txt"))
+        code = main(["train", "--config", config, "--data", str(d),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corpus.txt" in err and f"record {records[0].id} has no labels" in err
+
+    def test_test_file_never_read(self, tmp_path, tiny_cfg, data_dir):
+        (Path(data_dir) / "test.npy").write_bytes(b"not an npy file")
+        run_train(tmp_path, tiny_cfg, data_dir)
+
     def test_seeded_runs_byte_identical(self, tmp_path, tiny_cfg, data_dir):
         a = run_train(tmp_path, tiny_cfg, data_dir, "a.ckpt")
         b = run_train(tmp_path, tiny_cfg, data_dir, "b.ckpt")
@@ -326,6 +342,31 @@ class TestEvalCommand:
     def test_missing_test_split_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
         assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 2
+
+    def test_test_split_never_reads_corpus(self, tmp_path, tiny_cfg, data_dir, capsys):
+        save_native(rule_corpus(n=3, length=25, seed=9), data_dir + "/test.txt")
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 0
+        report = capsys.readouterr().out
+        (Path(data_dir) / "corpus.npy").write_bytes(b"not an npy file")
+        assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 0
+        assert capsys.readouterr().out == report
+
+    def test_validation_split_never_reads_test_file(self, tmp_path, tiny_cfg, data_dir,
+                                                    capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        (Path(data_dir) / "test.npy").write_bytes(b"not an npy file")
+        assert main(["eval", "--ckpt", out, "--data", data_dir]) == 0
+
+    def test_unlabelled_test_split_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        records = [dataclasses.replace(r, labels=None) for r in rule_corpus(n=3, length=25)]
+        save_native(records, data_dir + "/test.txt")
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 2
+        err = capsys.readouterr().err
+        assert "test.txt" in err and f"record {records[0].id} has no labels" in err
 
     def test_missing_sidecar_exit_1(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)

@@ -60,6 +60,11 @@ class TestQ8:
         with pytest.raises(ParameterError):
             q8([np.zeros(2, dtype=np.int64)], [rec])
 
+    def test_out_of_range_prediction_rejected(self):
+        rec = make_record("x", "HHE")
+        with pytest.raises(ParameterError, match="outside the 8 structure classes"):
+            q8([np.array([5, 8, 2])], [rec])
+
     def test_padding_positions_are_inert(self):
         recs = rule_corpus(n=2, length=9, seed=1)
         preds = [r.labels[:700].copy() for r in recs]
@@ -198,27 +203,22 @@ class TestReport:
     def _fixture(self):
         rec = make_record("x", "HHEELLLT")
         pred = [np.array([5, 5, 2, 0, 0, 0, 0, 6])]
-        return q8(pred, [rec]), confusion_matrix(pred, [rec])
+        return pred, [rec]
 
     def test_sections_present(self):
-        score, cm = self._fixture()
-        text = render_report(score, cm, bootstrap=(0.7, 0.01, 10))
-        assert "[q8]" in text and "[per_class]" in text and "[bootstrap]" in text
-        assert "n_draws = 10" in text
+        text = render_report(confusion_matrix(*self._fixture()))
+        assert "[q8]" in text and "[per_class]" in text
 
     def test_raw_doubles_by_default(self):
-        score, cm = self._fixture()
-        text = render_report(score, cm)
-        assert repr(float(score)) in text
+        text = render_report(confusion_matrix(*self._fixture()))
+        assert f"q8 = {q8(*self._fixture())!r}\n" in text
 
     def test_digits_rounding_and_absent(self):
-        score, cm = self._fixture()
-        text = render_report(score, cm, digits=3)
+        text = render_report(confusion_matrix(*self._fixture()), digits=3)
         assert "q8 = 0.750" in text  # 6 of 8 correct
         assert "absent" in text  # classes never seen
 
     def test_per_class_line_per_letter(self):
-        score, cm = self._fixture()
-        lines = render_report(score, cm).splitlines()
+        lines = render_report(confusion_matrix(*self._fixture())).splitlines()
         letters = [l.split()[0] for l in lines if "precision=" in l]
         assert letters == list("LBEGIHST")
