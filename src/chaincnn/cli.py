@@ -38,7 +38,13 @@ from .errors import (
     NonFiniteError,
     UsageError,
 )
-from .inference import DEFAULT_BEAM_WIDTH, Ensemble, beam_search, decode_independent
+from .inference import (
+    DEFAULT_BEAM_WIDTH,
+    Ensemble,
+    beam_search,
+    decode_independent,
+    map_records,
+)
 from .metrics import confusion_matrix, render_report
 from .model import BlockSpec, ModelConfig, build
 from .training import (
@@ -283,9 +289,13 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
 
 
 def _decode_all(ensemble: Ensemble, records, beam_width: int):
+    """Labels of every record, in record order: beam search for a
+    conditioned ensemble, per-position argmax otherwise. ``map_records``
+    decodes the records on the cores BLAS leaves idle; the labels do not
+    depend on how many."""
     if ensemble.conditioned:
-        return [beam_search(ensemble, r, beam_width) for r in records]
-    return [decode_independent(ensemble, r) for r in records]
+        return map_records(lambda r: beam_search(ensemble, r, beam_width), records)
+    return map_records(lambda r: decode_independent(ensemble, r), records)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ class ColumnMap:
 
 
 COLUMNS = ColumnMap()
+# the source columns a record is decoded from; the others are never read
+_READ_COLUMNS = np.r_[slice(*COLUMNS.residue_onehot), slice(*COLUMNS.labels),
+                      slice(*COLUMNS.pssm)]
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,20 @@ def load_npy(path: str) -> np.ndarray:
 
 
 def decode_record(row: np.ndarray, rid: str = "r0") -> ProteinRecord:
-    """Decode one [700, 57] source row into a ProteinRecord."""
+    """Decode one [700, 57] source row into a ProteinRecord.
+
+    A NaN or infinity in a column the record is decoded from, padding
+    included, is a ``MalformedRecordError`` naming the first one's
+    position and column (both 0-based).
+    """
     if row.shape != (SEQ_LEN, SOURCE_COLUMNS):
         raise ShapeError(f"record {rid}: source row shape {row.shape}")
+    finite = np.isfinite(row[:, _READ_COLUMNS])
+    if not finite.all():
+        pos, k = np.argwhere(~finite)[0]
+        col = _READ_COLUMNS[k]
+        raise MalformedRecordError(
+            f"record {rid}: non-finite value {row[pos, col]} at position {pos}, column {col}")
     onehot = row[:, COLUMNS.residue_onehot[0] : COLUMNS.residue_onehot[1]]
     label_block = row[:, COLUMNS.labels[0] : COLUMNS.labels[1]]
     pssm = row[:, COLUMNS.pssm[0] : COLUMNS.pssm[1]]
@@ -290,12 +304,21 @@ def string_to_labels(text: str) -> np.ndarray:
 def record_from_parts(
     rid: str, residues: str, labels: str | None, pssm: np.ndarray
 ) -> ProteinRecord:
-    """Assemble a padded record from sequence strings and a raw PSSM block."""
+    """Assemble a padded record from sequence strings and a raw PSSM block.
+
+    A NaN or infinity in the PSSM block is a ``DataFormatError`` naming the
+    first one's position and PSSM column (both 0-based).
+    """
     n = len(residues)
     if n < 1 or n > SEQ_LEN:
         raise DataFormatError(f"record {rid}: length {n} outside [1, {SEQ_LEN}]")
     if pssm.shape != (n, NUM_PSSM):
         raise DataFormatError(f"record {rid}: PSSM block shape {pssm.shape} != ({n}, 21)")
+    finite = np.isfinite(pssm)
+    if not finite.all():
+        pos, col = np.argwhere(~finite)[0]
+        raise DataFormatError(f"record {rid}: non-finite PSSM value {pssm[pos, col]} "
+                              f"at position {pos}, PSSM column {col}")
     features = np.zeros((SEQ_LEN, NUM_FEATURES), dtype=np.float32)
     for i, ch in enumerate(residues):
         idx = RESIDUE_ALPHABET.find(ch)

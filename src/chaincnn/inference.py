@@ -14,8 +14,14 @@ Scheduled sampling does not score here: ``model.Stepper`` steps its whole
 batch with one new column per layer per position, and the tests check its
 scores equal to this window path's. Ensembles average the members' log
 probabilities per class.
+
+Records decode independently, so ``map_records`` decodes a list of them on
+the cores BLAS leaves idle (``decode_workers``), one record per thread at a
+time, and returns the results in record order.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,81 @@ class Ensemble:
     @property
     def conditioned(self) -> bool:
         return self.members[0].config.conditioned
+
+
+def decode_workers(n_records: int) -> int:
+    """Threads ``map_records`` decodes ``n_records`` records on.
+
+    ``min(n_records, cores // blas_threads)``, at least 1: ``cores`` is this
+    process's CPU affinity (else ``os.cpu_count()``), and ``blas_threads``
+    the first positive integer in ``$OPENBLAS_NUM_THREADS``, then
+    ``$OMP_NUM_THREADS``, else ``cores``. So an unpinned BLAS, which already
+    runs one matmul on every core, keeps one thread: record threads beside
+    BLAS threads on the same cores oversubscribe them and run slower.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    blas_threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:  # unset, or not an integer
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(n_records, cores // blas_threads))
+
+
+def map_records(fn, records) -> list:
+    """``[fn(r) for r in records]``, run on ``decode_workers(len(records))`` threads.
+
+    The calling thread decodes too, beside the other workers - 1 threads;
+    each takes the next record index from one shared counter, and every
+    thread is joined before this returns. One worker starts no thread. The
+    results come back in record order, and each record computes what the
+    serial loop computes, so the output does not depend on the worker count.
+    After a record raises (``KeyboardInterrupt`` too) no new record starts,
+    the records in flight finish, and the exception of the lowest failing
+    index is raised: the one the serial loop would raise.
+    """
+    records = list(records)
+    results = [None] * len(records)
+    failures = {}
+    lock = threading.Lock()
+    claimed = 0
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                if failures or claimed == len(records):
+                    return
+                i = claimed
+                claimed += 1
+            try:
+                results[i] = fn(records[i])
+            except BaseException as err:  # re-raised by the calling thread
+                with lock:
+                    failures[i] = err
+                return
+
+    threads = [threading.Thread(target=work, name=f"decode-{k}")
+               for k in range(1, decode_workers(len(records)))]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:  # also after an interrupt outside ``fn``: start no new record
+            claimed = len(records)
+        for t in threads:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _members(model_or_ensemble) -> tuple[Model, ...]:

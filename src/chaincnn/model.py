@@ -24,6 +24,7 @@ a record's padded tail can never influence a masked-in position.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -277,10 +278,15 @@ class Model:
         takes ``context``: [batch, length] label indices (0..8), one per
         position, one-hot encoded into the conditioning channels as they
         are. ``label_context`` builds it from a label sequence.
+
+        In infer mode (``train`` false) no autodiff graph is recorded
+        (``tensor.no_graph``): the logits have no parents, and each
+        intermediate is freed as soon as the next layer replaces it.
         """
         features = self._with_context(np.asarray(features, dtype=np.float32), context)
-        h = self._trunk(T.Tensor(features), mask, train, rng, valid=False)
-        return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
+        with contextlib.nullcontext() if train else T.no_graph():
+            h = self._trunk(T.Tensor(features), mask, train, rng, valid=False)
+            return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
 
     def _trunk(self, h: T.Tensor, mask, train: bool, rng, valid: bool) -> T.Tensor:
         """The conv blocks over [batch, length, channels] input.
@@ -354,7 +360,8 @@ class Model:
         the tests check the result bit-identical to the reference. The
         cropped trunk convolutions can still round differently from SAME
         ones for other shapes (a depth like 3, or a pyramid that narrows to
-        one column), so there the match is only to float32 rounding.
+        one column), so there the match is only to float32 rounding. Like
+        every infer-mode forward, it records no autodiff graph.
         """
         features = np.asarray(features, dtype=np.float32)
         width = self.receptive_field().width
@@ -362,20 +369,23 @@ class Model:
             raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows "
                              f"(width = receptive field), got {features.shape}")
         features = self._with_context(features, context)
-        trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
+        with T.no_graph():
+            trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
         return self._score_rows(trunk.reshape(trunk.shape[0], -1))
 
     def _score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
         fc_window trunk columns, flattened window-position major, run in
         ``_row_blocks`` of 16 to 128 rows, fewer than 16 zero-padded.
-        ``forward_window`` and ``Stepper`` both score here.
+        ``forward_window`` and ``Stepper`` both score here, with no graph.
         """
         n = rows.shape[0]
         blocks = _row_blocks(n, 16)
         padded = np.zeros((blocks[-1][1], rows.shape[1]), dtype=np.float32)
         padded[:n] = rows
-        logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data for lo, hi in blocks]
+        with T.no_graph():
+            logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data
+                      for lo, hi in blocks]
         return T.log_softmax(np.concatenate(logits)[:n])
 
 

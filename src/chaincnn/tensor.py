@@ -3,14 +3,17 @@
 Deliberately minimal: only the layer set the sequence labelers need.
 Ops build a graph of closures; calling ``backward`` on the result walks
 the graph in reverse topological order and accumulates gradients into
-every tensor that asked for them. Data and gradients are float32
-throughout; loss and statistic reductions run their sums in float64
-before rounding back.
+every tensor that asked for them. Inside ``no_graph()`` a thread's ops
+record no graph, so inference frees each intermediate as soon as the next
+op replaces it. Data and gradients are float32 throughout; loss and
+statistic reductions run their sums in float64 before rounding back.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,24 @@ BIAS_INIT = 0.1
 # is bit-identical to projecting once.
 _MAX_NORM_SLACK = 1e-6
 
+_graph = threading.local()
+
+
+@contextmanager
+def no_graph():
+    """Tensors this thread creates inside keep no parents and no backward.
+
+    Ops compute the same values; only the graph that ``backward`` would walk
+    is dropped. The previous setting comes back on exit, also on an
+    exception. Other threads are not affected.
+    """
+    previous = getattr(_graph, "off", False)
+    _graph.off = True
+    try:
+        yield
+    finally:
+        _graph.off = previous
+
 
 class Tensor:
     """A float32 array plus an optional gradient buffer."""
@@ -44,6 +65,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
+        if getattr(_graph, "off", False):
+            parents, backward = (), None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in parents
         )

@@ -13,7 +13,7 @@ import numpy as np
 import chaincnn.tensor as T
 from .data import NOSEQ_CLASS, NUM_REAL_CLASSES, Batch, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
-from .inference import beam_search, decode_independent
+from .inference import beam_search, decode_independent, map_records
 from .metrics import q8 as metrics_q8
 from .model import Model, Stepper
 
@@ -131,7 +131,9 @@ def scheduled_sampling_pass(model, batch: Batch, rate: float, rng) -> np.ndarray
 
 def evaluate_q8(model, records) -> float:
     """Validation Q8 of per-position argmax predictions, one record per
-    forward in infer mode, counted by ``metrics.q8``.
+    forward in infer mode, counted by ``metrics.q8``. ``inference.map_records``
+    decodes the records on the cores BLAS leaves idle; the value does not
+    depend on how many.
 
     An unconditioned model decodes through ``decode_independent``. A
     conditioned one is scored teacher-forced, with ``model.label_context``
@@ -139,19 +141,21 @@ def evaluate_q8(model, records) -> float:
     accuracy that early stopping watches.
     """
     if not model.config.conditioned:
-        return metrics_q8([decode_independent(model, r) for r in records], records)
-    preds = []
-    for r in records:
+        return metrics_q8(map_records(lambda r: decode_independent(model, r), records), records)
+
+    def teacher_forced(r):
         batch = make_batch([r], length=max(r.length, 1))
         logits = model.forward(batch.features, batch.mask, model.label_context(batch.labels))
-        preds.append(logits.data[0, : r.length, :NUM_REAL_CLASSES].argmax(axis=1))
-    return metrics_q8(preds, records)
+        return logits.data[0, : r.length, :NUM_REAL_CLASSES].argmax(axis=1)
+
+    return metrics_q8(map_records(teacher_forced, records), records)
 
 
 def beam_q8(model, records) -> float:
-    """Validation Q8 under full beam-search decoding at the default width."""
-    preds = [beam_search(model, r) for r in records]
-    return metrics_q8(preds, records)
+    """Validation Q8 under full beam-search decoding at the default width,
+    the records decoded through ``inference.map_records`` as in
+    ``evaluate_q8``."""
+    return metrics_q8(map_records(lambda r: beam_search(model, r), records), records)
 
 
 # ---------------------------------------------------------------------------

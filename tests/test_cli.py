@@ -503,6 +503,23 @@ class TestPredictCommand:
         assert code == 2
         assert ":1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_pssm_exit_2(self, tmp_path, tiny_cfg, data_dir, value, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        fixture = tmp_path / "in.txt"
+        row = ",".join(["0.5"] * 21)
+        bad = ",".join(["0.5"] * 7 + [value] + ["0.5"] * 13)
+        pssm = ";".join([row] * 6 + [bad] + [row] * 5)
+        fixture.write_text(f"p1\tACDEFGHIKLMN\t\t{pssm}\n")
+        dest = tmp_path / "preds.txt"
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", out, "--input", str(fixture),
+                     "--output", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {fixture}:1: record p1: non-finite PSSM value {value} "
+            "at position 6, PSSM column 7\n")
+        assert not dest.exists()
+
     def test_non_utf8_input_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
         fixture = str(tmp_path / "in.txt")
@@ -588,6 +605,19 @@ class TestNpyCorpus:
         out = str(tmp_path / "m.ckpt")
         assert main(["train", "--config", tiny_cfg, "--data", str(d),
                      "--out", out, "--seed", "1"]) == 0
+
+
+    def test_non_finite_value_in_eval_corpus_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        rows = [source_row([1, 2, 3, 4], [0, 1, 2, 3], np.full((4, 21), 0.5)) for _ in range(3)]
+        rows[2][1, 40] = np.nan
+        d = tmp_path / "npy"
+        d.mkdir()
+        np.save(d / "corpus.npy", np.stack(rows).reshape(3, -1))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", str(d)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record p00002: non-finite value nan at position 1, column 40\n")
 
 
 class TestUsage:

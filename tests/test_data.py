@@ -106,6 +106,21 @@ class TestDecodeRecord:
         with pytest.raises(MalformedRecordError, match="one-hot"):
             D.decode_record(row)
 
+    @pytest.mark.parametrize("column", (2, 25, 40))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_value_rejected(self, column, value):
+        row = source_row([0, 1, 2], [0, 1, 2], junk_seed=3)
+        row[5, column] = value  # padding is read too
+        with pytest.raises(MalformedRecordError,
+                           match=f"record p7: non-finite value .* at position 5, column {column}$"):
+            D.decode_record(row, rid="p7")
+
+    def test_unread_columns_may_hold_anything(self):
+        row = source_row([0, 1, 2], [0, 1, 2])
+        row[:, 31] = np.nan
+        row[:, 56] = np.inf
+        assert D.decode_record(row).length == 3
+
     def test_reencode_bit_exact(self, rng):
         pssm = rng.standard_normal((5, 21)).astype(np.float32)
         row = source_row([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], pssm=pssm)
@@ -309,6 +324,16 @@ class TestNativeFormat:
         row = ",".join(["0"] * 21)
         path.write_text(f"r\tACE\tHEL\t{row};{row}\n")
         with pytest.raises(DataFormatError, match="PSSM"):
+            D.load_native(str(path))
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_pssm_value(self, tmp_path, value):
+        path = tmp_path / "bad5.tsv"
+        row = ",".join(["0"] * 21)
+        bad = ",".join(["0"] * 4 + [value] + ["0"] * 16)
+        path.write_text(f"ok\tA\tH\t{row}\nr\tACE\tHEL\t{row};{row};{bad}\n")
+        with pytest.raises(DataFormatError,
+                           match=":2: record r: non-finite PSSM value .* position 2, PSSM column 4$"):
             D.load_native(str(path))
 
     def test_bad_float(self, tmp_path):

@@ -1,25 +1,43 @@
-"""Decoding: window locality, ensemble averaging, and beam-search exactness."""
+"""Decoding: window locality, ensembles, beam-search exactness, and the parallel record map."""
 
+import dataclasses
 import itertools
+import os
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chaincnn.data import NOSEQ_CLASS, make_batch
-from chaincnn.errors import ModeError, ParameterError
+import chaincnn.cli as cli
+import chaincnn.inference as inference
+from chaincnn.cli import load_run_config, main, render_config
+from chaincnn.data import NOSEQ_CLASS, make_batch, save_native
+from chaincnn.errors import ModeError, NonFiniteError, ParameterError
 from chaincnn.inference import (
     Ensemble,
     beam_search,
     context_window,
     decode_independent,
+    decode_workers,
     ensemble_step_score,
     extract_window,
+    map_records,
     sequence_log_prob,
 )
 from chaincnn.model import Model, build
 from chaincnn.tensor import log_softmax
-from chaincnn.training import scheduled_sampling_pass
+from chaincnn.training import (
+    beam_q8,
+    bind_checkpoint,
+    checkpoint_from_model,
+    evaluate_q8,
+    load_checkpoint,
+    save_checkpoint,
+    scheduled_sampling_pass,
+)
 from corpus import rule_corpus
 from test_model import conditioned_shipped, randomized_stats_model, small_config, window_oracle
 from test_training import batch_of, window_sampling_pass
@@ -331,7 +349,6 @@ class TestEnsembleValidation:
 
     def test_zero_length_record_decodes_empty(self, cond_model, plain_model):
         rec = rule_corpus(n=1, length=4, seed=0)[0]
-        import dataclasses
         empty = dataclasses.replace(
             rec,
             length=0,
@@ -341,3 +358,216 @@ class TestEnsembleValidation:
         )
         assert beam_search(cond_model, empty).size == 0
         assert decode_independent(plain_model, empty).size == 0
+
+
+def force_workers(monkeypatch, count):
+    """Make ``map_records`` use ``min(n, count)`` workers whatever the cores."""
+    monkeypatch.setattr(inference, "decode_workers", lambda n: max(1, min(n, count)))
+
+
+class TestDecodeWorkers:
+    @pytest.mark.parametrize("openblas, omp, expected", [
+        ("1", None, 4), ("2", None, 2), (None, None, 1), ("0", None, 1), ("abc", None, 1),
+        (None, "1", 4), ("0", "2", 2), ("3", "1", 1), ("8", None, 1),
+    ])
+    def test_rule(self, monkeypatch, openblas, omp, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert decode_workers(10) == expected
+
+    def test_capped_by_records(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [decode_workers(n) for n in (0, 1, 2, 3, 4, 5)] == [1, 1, 2, 3, 4, 4]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert decode_workers(10) == 2
+
+
+class TestMapRecords:
+    """Three workers: the calling thread plus two pool threads."""
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        before = threading.active_count()
+        seen = []
+        out = map_records(lambda r: seen.append((threading.get_ident(),
+                                                 threading.active_count())) or r + 1, range(5))
+        assert out == [1, 2, 3, 4, 5]
+        assert seen == [(threading.get_ident(), before)] * 5
+
+    def test_order_kept_and_caller_decodes(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        barrier = threading.Barrier(3, timeout=30)
+        seen = []
+
+        def fn(r):
+            if r < 3:  # the first three records run at once, one per worker
+                barrier.wait()
+            seen.append((threading.get_ident(), threading.active_count()))
+            time.sleep(0.001 * (r % 4))  # finish out of order
+            return r * r
+
+        assert map_records(fn, range(30)) == [r * r for r in range(30)]
+        idents = {ident for ident, _ in seen}
+        assert len(idents) == 3 and threading.get_ident() in idents
+        assert max(count for _, count in seen) <= before + 2
+        assert threading.active_count() == before
+
+    def test_stress_each_record_once(self, monkeypatch):
+        # a lost update on the shared counter would skip or repeat a record
+        force_workers(monkeypatch, 3)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = map_records(lambda r: calls.append(r) or -r, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-r for r in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    def _failing(self, fails, exc=ValueError):
+        """fn whose first three records start together, then ``fails``
+        raise ``exc(r)`` and the others take 0.2 s; records it started."""
+        barrier = threading.Barrier(3, timeout=30)
+        started = []
+
+        def fn(r):
+            started.append(r)
+            if r < 3:
+                barrier.wait()
+            if r in fails:
+                raise exc(r)
+            time.sleep(0.2)
+            return r
+
+        return fn, started
+
+    def test_no_record_starts_after_a_failure(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        fn, started = self._failing({1})
+        with pytest.raises(ValueError) as err:
+            map_records(fn, range(20))
+        assert err.value.args == (1,)
+        assert sorted(started) == [0, 1, 2]
+
+    def test_lowest_failing_index_wins(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        fn, started = self._failing({0, 1, 2})
+        with pytest.raises(ValueError) as err:
+            map_records(fn, range(20))
+        assert err.value.args == (0,)
+        assert sorted(started) == [0, 1, 2]
+
+    def test_keyboard_interrupt_stops_new_records(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        fn, started = self._failing({2}, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            map_records(fn, range(20))
+        assert sorted(started) == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_serial_exception_surfaces(self, monkeypatch):
+        for workers in (1, 3):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(ZeroDivisionError):
+                map_records(lambda r: 1 // (r - 7), range(12))
+
+
+def mixed_records():
+    """Mixed lengths, 1-residue records included, with distinct ids."""
+    lengths = (23, 1, 9, 40, 1, 2, 31, 5, 17, 1, 12)
+    return [dataclasses.replace(rule_corpus(n=1, length=n, seed=i)[0], id=f"mix{i:02d}")
+            for i, n in enumerate(lengths)]
+
+
+class TestParallelDecodeParity:
+    """Decoding on three workers is byte-identical to one worker.
+
+    Every record makes the same BLAS calls at any worker count, so this
+    holds on every BLAS core."""
+
+    KINDS = {"plain": (False, 1), "conditioned": (True, 1), "ensemble": (True, 2),
+             "plain_ensemble": (False, 2)}
+
+    @pytest.fixture(params=list(KINDS))
+    def setup(self, request, tmp_path):
+        conditioned, members = self.KINDS[request.param]
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        records = mixed_records()
+        save_native(records, str(data_dir / "corpus.txt"))
+        run = dataclasses.replace(load_run_config("ablation_row9", []),
+                                  model=small_config(conditioned), data_dir=str(data_dir),
+                                  n_validation=len(records))
+        ckpts = []
+        for k in range(members):
+            model = randomized_stats_model(run.model, 40 + k)
+            path = str(tmp_path / f"m{k}.ckpt")
+            save_checkpoint(checkpoint_from_model(model), path)
+            (tmp_path / f"m{k}.ckpt.cfg").write_text(render_config(run))
+            ckpts.append(path)
+        return SimpleNamespace(records=records, ckpts=ckpts, dir=str(data_dir), tmp=tmp_path)
+
+    def _outputs(self, setup, capsys):
+        assert main(["eval", "--ckpt", *setup.ckpts, "--raw", "--beam-width", "3"]) == 0
+        report = capsys.readouterr().out
+        dest = setup.tmp / "preds.txt"
+        assert main(["predict", "--ckpt", *setup.ckpts, "--input", setup.dir + "/corpus.txt",
+                     "--output", str(dest), "--beam-width", "3"]) == 0
+        capsys.readouterr()
+        return report, dest.read_bytes()
+
+    def test_eval_and_predict(self, setup, monkeypatch, capsys):
+        force_workers(monkeypatch, 1)
+        serial = self._outputs(setup, capsys)
+        force_workers(monkeypatch, 3)
+        assert self._outputs(setup, capsys) == serial
+        ids = [line.split(b"\t")[0].decode() for line in serial[1].splitlines()]
+        assert ids == [r.id for r in setup.records]
+
+    def test_validation_q8(self, setup, monkeypatch):
+        models = [build(load_run_config(p + ".cfg", []).model, np.random.default_rng(0))
+                  for p in setup.ckpts]
+        for model, path in zip(models, setup.ckpts):
+            bind_checkpoint(load_checkpoint(path), model)
+        score = [evaluate_q8] + ([beam_q8] if models[0].config.conditioned else [])
+
+        def values():
+            return [f(m, setup.records) for f in score for m in models]
+
+        force_workers(monkeypatch, 1)
+        serial = values()
+        force_workers(monkeypatch, 3)
+        assert values() == serial
+
+    def test_error_surfaces_as_in_the_serial_loop(self, setup, monkeypatch, capsys):
+        original = {name: getattr(cli, name) for name in ("beam_search", "decode_independent")}
+
+        def failing(name):
+            def fn(ensemble, record, *args):
+                if record.id in ("mix03", "mix07"):
+                    raise NonFiniteError(f"record {record.id} overflowed")
+                return original[name](ensemble, record, *args)
+            return fn
+
+        for name in original:
+            monkeypatch.setattr(cli, name, failing(name))
+        dest = setup.tmp / "preds.txt"
+        argv = ["predict", "--ckpt", *setup.ckpts, "--input", setup.dir + "/corpus.txt",
+                "--output", str(dest), "--beam-width", "3"]
+        outcomes = []
+        for workers in (1, 3):
+            force_workers(monkeypatch, workers)
+            outcomes.append((main(argv), capsys.readouterr().err, dest.exists()))
+        assert outcomes[0] == outcomes[1] == (3, "error: record mix03 overflowed\n", False)

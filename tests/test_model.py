@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -216,6 +217,50 @@ class TestForward:
         assert np.isfinite(loss.data)
         loss.backward()
         assert all(t.grad is not None for t in model.trainable().values())
+
+
+class TestGraphFreeInference:
+    def _batch(self):
+        return make_batch(rule_corpus(n=2, length=12, seed=3), length=16)
+
+    def test_infer_forward_keeps_no_graph(self):
+        model = build(small_config(), np.random.default_rng(3))
+        batch = self._batch()
+        logits = model.forward(batch.features, batch.mask)
+        assert logits._parents == () and logits._backward is None
+        assert not logits.requires_grad
+        trained = model.forward(batch.features, batch.mask, train=True,
+                                rng=np.random.default_rng(0))
+        assert trained._parents and trained._backward is not None
+
+    def test_same_values_as_the_graph_keeping_forward(self):
+        model = randomized_stats_model(small_config(), 3)
+        batch = self._batch()
+        h = model._trunk(T.Tensor(model._with_context(batch.features, None)), batch.mask,
+                         False, None, valid=False)
+        reference = model._head(T.gather_windows(h, model.config.fc_window), False, None)
+        assert reference._parents
+        np.testing.assert_array_equal(model.forward(batch.features, batch.mask).data,
+                                      reference.data)
+
+    def test_switch_restored_after_an_exception(self):
+        model = build(small_config(), np.random.default_rng(3))
+        batch = self._batch()
+        with pytest.raises(ShapeError):  # raised by the first apply_mask, inside the switch
+            model.forward(batch.features, batch.mask[:, :15])
+        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        assert T.relu(x)._parents == (x,)
+
+    def test_switch_is_thread_local(self):
+        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        built = {}
+        with T.no_graph():
+            worker = threading.Thread(target=lambda: built.update(out=T.relu(x)))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert T.relu(x)._parents == ()
+        assert built["out"]._parents == (x,) and built["out"].requires_grad
 
 
 class TestLocality:
