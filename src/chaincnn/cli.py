@@ -248,8 +248,9 @@ def load_run_config(name: str, sets, seed_override: int | None = None) -> RunCon
 def load_records(data_dir: str | None, stem: str):
     """The labelled records of ``{stem}.npy``, or else ``{stem}.txt``, in ``data_dir``.
 
-    Exactly one file is read. Every caller scores against labels, so a record
-    without them is a data error naming the file and the record.
+    Exactly one file is read. Every caller scores against labels, so a file
+    without records, or a record without labels, is a data error naming the
+    file (and the record).
     """
     if data_dir is None:
         raise UsageError("no data directory: pass --data or set 'data =' in the config")
@@ -262,6 +263,8 @@ def load_records(data_dir: str | None, stem: str):
         records = load_native(path)
     else:
         raise DataFormatError(f"no {stem}.npy or {stem}.txt in {data_dir!r}")
+    if not records:
+        raise DataFormatError(f"{path}: no records")
     unlabelled = next((r.id for r in records if r.labels is None), None)
     if unlabelled is not None:
         raise DataFormatError(f"{path}: record {unlabelled} has no labels")

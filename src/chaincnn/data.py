@@ -216,9 +216,9 @@ def compute_pssm_stats(records: list[ProteinRecord]) -> tuple[np.ndarray, np.nda
     ``input_norm.*`` buffers hold them at. A constant column gets std 1.0,
     so it is centered without scaling.
     """
-    cols = np.concatenate([r.features[: r.length, 21:] for r in records], axis=0)
-    if cols.size == 0:
+    if not any(r.length for r in records):  # also no records, where concatenate fails
         raise ParameterError("cannot compute PSSM statistics over zero positions")
+    cols = np.concatenate([r.features[: r.length, 21:] for r in records], axis=0)
     mean = cols.mean(axis=0, dtype=np.float64).astype(np.float32)
     std = cols.astype(np.float64).std(axis=0).astype(np.float32)
     constant = std == 0.0

@@ -10,7 +10,8 @@ The head gathers a centered window of trunk features per position and
 runs it through fully-connected layers into 9-class logits (8 structure
 classes plus no-seq, which only padding targets would use). One layer plan
 (``_plan``) names every layer and counts its channels; ``build``,
-``parameter_count``, ``receptive_field``, the trunk and ``Stepper`` read it.
+``parameter_count``, ``receptive_field``, the trunk, the window path and
+``Stepper`` read it.
 
 A next-step conditioned model also takes a label context, one label index
 per position. The model one-hot encodes it into 9 channels appended to the
@@ -285,45 +286,31 @@ class Model:
         """
         features = self._with_context(np.asarray(features, dtype=np.float32), context)
         with contextlib.nullcontext() if train else T.no_graph():
-            h = self._trunk(T.Tensor(features), mask, train, rng, valid=False)
+            h = self._trunk(T.Tensor(features), mask, train, rng)
             return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
 
-    def _trunk(self, h: T.Tensor, mask, train: bool, rng, valid: bool) -> T.Tensor:
-        """The conv blocks over [batch, length, channels] input.
-
-        With ``valid`` each conv computes only the positions the next layer
-        consumes, so no output reads padding and the result is shorter than
-        the input by receptive-field width - fc_window; masks are sliced to
-        match. Without it every layer keeps the input length (SAME padding).
-        """
+    def _trunk(self, h: T.Tensor, mask, train: bool, rng) -> T.Tensor:
+        """The conv blocks over [batch, length, channels] input; every layer
+        keeps the input length (SAME padding)."""
         drop = self.config.dropout_rate
 
-        def conv(name, x, crop):
+        def conv(name, x):
             lp = self.layers[name]
-            if valid:
-                return T.cropped_conv1d(x, lp.weights, lp.biases, crop)
             return T.conv1d(x, lp.weights, lp.biases)
 
-        def norm_relu(x, name, mask):
+        def norm_relu(x, name):
             x = T.batch_norm(x, mask, self.layers[name], train)
             return T.apply_mask(T.dropout(T.relu(x), drop, train, rng), mask)
-
-        def cropped(mask, width):
-            crop = width // 2 if valid else 0
-            return crop, mask[:, crop : mask.shape[1] - crop]
 
         mask = np.asarray(mask, dtype=np.float32)
         h = T.apply_mask(h, mask)
         for block in self._plan.blocks:
-            block_in, in_mask = h, mask
+            block_in = h
             for stage in block.stages:
-                crop, mask = cropped(mask, stage.width)
-                h = T.concat_channels([conv(name, h, crop) for name, _, _ in stage.convs])
-                h = norm_relu(h, stage.norm, mask)
+                h = T.concat_channels([conv(name, h) for name, _, _ in stage.convs])
+                h = norm_relu(h, stage.norm)
             if block.skip:
-                crop = (in_mask.shape[1] - mask.shape[1]) // 2
-                proj = conv(block.skip, block_in, crop)
-                h = T.apply_mask(T.concat_channels([h, proj]), mask)
+                h = T.apply_mask(T.concat_channels([h, conv(block.skip, block_in)]), mask)
         return h
 
     def _head(self, h: T.Tensor, train: bool, rng) -> T.Tensor:
@@ -349,10 +336,13 @@ class Model:
         float64.
 
         Only what the center logit depends on is computed. The trunk runs
-        as a valid-convolution pyramid (for ``chained``: 43 -> 35 -> 27 ->
-        19 -> 11 columns), whose last fc_window columns, flattened window-
-        position major, are exactly the center's ``gather_windows`` row. The
-        head then runs once per window, not once per window position.
+        on plain arrays as a valid-convolution pyramid (for ``chained``: 43
+        -> 35 -> 27 -> 19 -> 11 columns): each stage drops width // 2
+        columns at each end, its convs through ``_valid_conv`` and its norm
+        through ``_norm_relu``, which ``Stepper`` shares. Its last
+        fc_window columns, flattened window-position major, are exactly
+        the center's ``gather_windows`` row, and the head runs once per
+        window, not once per window position.
 
         ``forward`` over the window, center kept, is the reference. The
         center rows go through ``_score_rows``, which rounds them as that
@@ -360,18 +350,29 @@ class Model:
         the tests check the result bit-identical to the reference. The
         cropped trunk convolutions can still round differently from SAME
         ones for other shapes (a depth like 3, or a pyramid that narrows to
-        one column), so there the match is only to float32 rounding. Like
-        every infer-mode forward, it records no autodiff graph.
+        one column), so there the match is only to float32 rounding.
         """
         features = np.asarray(features, dtype=np.float32)
+        mask = np.asarray(mask, dtype=np.float32)
         width = self.receptive_field().width
-        if features.ndim != 3 or features.shape[1] != width:
-            raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows "
-                             f"(width = receptive field), got {features.shape}")
-        features = self._with_context(features, context)
-        with T.no_graph():
-            trunk = self._trunk(T.Tensor(features), mask, False, None, valid=True).data
-        return self._score_rows(trunk.reshape(trunk.shape[0], -1))
+        if features.ndim != 3 or features.shape[1] != width or mask.shape != features.shape[:2]:
+            raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows (width = "
+                             f"receptive field) and a [batch, {width}] mask, got "
+                             f"{features.shape} and {mask.shape}")
+        h = self._with_context(features, context) * mask[:, :, None]
+        for block in self._plan.blocks:
+            block_in = h
+            for stage in block.stages:
+                crop = stage.width // 2
+                mask = mask[:, crop : mask.shape[1] - crop]
+                h = np.concatenate([_valid_conv(h, self.layers[name], crop)
+                                    for name, _, _ in stage.convs], axis=2)
+                h = _norm_relu(h, self.layers[stage.norm], mask[:, :, None])
+            if block.skip:  # the block input's columns beside the block output's
+                proj = _valid_conv(block_in, self.layers[block.skip],
+                                   (block_in.shape[1] - h.shape[1]) // 2)
+                h = np.concatenate([h, proj], axis=2) * mask[:, :, None]
+        return self._score_rows(h.reshape(h.shape[0], -1))
 
     def _score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
@@ -387,6 +388,29 @@ class Model:
             logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data
                       for lo, hi in blocks]
         return T.log_softmax(np.concatenate(logits)[:n])
+
+
+def _valid_conv(x: np.ndarray, lp: T.LayerParams, crop: int) -> np.ndarray:
+    """Conv layer ``lp`` of [batch, length, in] ``x`` at positions [crop,
+    length - crop) only, for crop >= width // 2, so no kept position reads
+    padding. The bias is copied, then x[t - r + w] @ filt[w] is added for
+    taps w in order, one matmul per record and tap, as ``tensor.conv1d``
+    sums them."""
+    filt = lp.weights.data
+    off, n = crop - filt.shape[0] // 2, x.shape[1] - 2 * crop
+    out = np.broadcast_to(lp.biases.data, (x.shape[0], n, filt.shape[2])).copy()
+    for w in range(filt.shape[0]):
+        out += x[:, off + w : off + w + n] @ filt[w]
+    return out
+
+
+def _norm_relu(x: np.ndarray, lp: T.LayerParams, mask: np.ndarray) -> np.ndarray:
+    """Batch norm ``lp`` with its running statistics, ReLU, then ``mask``
+    (broadcast over the channels), as ``tensor.batch_norm(train=False)``,
+    ``relu`` and ``apply_mask`` compute them."""
+    inv = 1.0 / np.sqrt(lp.extra["running_var"].data + np.float32(T.BN_EPS))
+    xhat = (x - lp.extra["running_mean"].data) * inv
+    return np.maximum(xhat * lp.weights.data + lp.biases.data, 0.0) * mask
 
 
 def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
@@ -455,9 +479,9 @@ class Stepper:
       matmul per ``_row_blocks`` block of 2 to 128 rows, which is a 2-D
       [rows, in] @ [in, out] sgemm per tap; one sum over the leading axis
       then adds the bias and the taps in tap order, as the per-tap ``+=`` of
-      ``tensor.cropped_conv1d`` does;
-    - batch norm, ReLU and the mask use the infer-mode expressions of
-      ``tensor.batch_norm``, ``relu`` and ``apply_mask``;
+      ``_valid_conv`` does;
+    - batch norm, ReLU and the mask go through the window path's
+      ``_norm_relu``;
     - the head scores through ``Model._score_rows``.
     """
 
@@ -481,12 +505,7 @@ class Stepper:
         self._mask[: self.n, :length] = mask
         self._column = 0
 
-        def norm(name):
-            lp = model.layers[name]
-            inv = 1.0 / np.sqrt(lp.extra["running_var"].data + np.float32(T.BN_EPS))
-            return lp.extra["running_mean"].data, inv, lp.weights.data, lp.biases.data
-
-        self._blocks = []  # per block: [(input queue, convs, norm stats, delay)], skip
+        self._blocks = []  # per block: [(input queue, convs, norm, delay)], skip
         for block in model._plan.blocks:
             # the skip projection reads the block input at the block's output position
             sizes = [stage.width for stage in block.stages]
@@ -495,7 +514,7 @@ class Stepper:
             self._blocks.append(([
                 (_Queue(size, rows, stage.channels),
                  [model.layers[name] for name, _, _ in stage.convs],
-                 norm(stage.norm), stage.width // 2)
+                 model.layers[stage.norm], stage.width // 2)
                 for size, stage in zip(sizes, block.stages)
             ], model.layers[block.skip] if block.skip else None))
         self._head_queue = _Queue(model.config.fc_window, rows, model._plan.trunk_channels)
@@ -528,11 +547,11 @@ class Stepper:
         """A block's newest output column and its position, given the newest
         input column ``h`` at position ``col``."""
         start = col
-        for queue, convs, stats, delay in stages:
+        for queue, convs, norm, delay in stages:
             queue.push(h)
             col -= delay
             h = np.concatenate([self._conv(lp, queue, delay) for lp in convs], axis=1)
-            h = self._norm_relu(h, stats, col)
+            h = _norm_relu(h, norm, self._mask_at(col))
         if skip is not None:
             proj = self._conv(skip, stages[0][0], start - col)
             h = np.concatenate([h, proj], axis=1) * self._mask_at(col)
@@ -550,11 +569,6 @@ class Stepper:
         for lo, hi in self._row_blocks:
             np.matmul(taps[:, lo:hi], filt, out=terms[1:, lo:hi])
         return terms.sum(axis=0)
-
-    def _norm_relu(self, x: np.ndarray, stats, col: int) -> np.ndarray:
-        mean, inv, scale, shift = stats
-        xhat = (x - mean) * inv
-        return np.maximum(xhat * scale + shift, 0.0) * self._mask_at(col)
 
     def _mask_at(self, col: int) -> np.ndarray:
         if col < 0:

@@ -246,17 +246,9 @@ def conv1d(x: Tensor, filt: Tensor, bias: Tensor) -> Tensor:
     """1D convolution along the length axis with SAME zero padding.
 
     x: [batch, length, in_ch], filt: [width, in_ch, out_ch], bias: [out_ch].
-    Filter widths must be odd so SAME padding is symmetric.
-    """
-    return cropped_conv1d(x, filt, bias, 0)
-
-
-def cropped_conv1d(x: Tensor, filt: Tensor, bias: Tensor, crop: int) -> Tensor:
-    """``conv1d`` output positions [crop, length - crop) only.
-
-    Each kept position accumulates bias + x[t - r + w] @ filt[w] for taps
-    w = 0..width-1 in the same order as ``conv1d``, one matmul per record
-    and tap. With crop >= width // 2 no kept position reads padding.
+    Filter widths must be odd so SAME padding is symmetric. Each position
+    accumulates bias + x[t - r + w] @ filt[w] for taps w = 0..width-1 in
+    order (r = width // 2), one matmul per record and tap.
     """
     if x.data.ndim != 3 or filt.data.ndim != 3:
         raise ShapeError(
@@ -271,36 +263,30 @@ def cropped_conv1d(x: Tensor, filt: Tensor, bias: Tensor, crop: int) -> Tensor:
         raise ShapeError(f"bias shape {bias.data.shape} != ({out_ch},)")
 
     b, length, _ = x.data.shape
-    out_len = length - 2 * crop
-    if crop < 0 or out_len < 0:
-        raise ParameterError(f"crop {crop} outside [0, {length // 2}] for length {length}")
     r = width // 2
-    pad = max(r - crop, 0)  # zero rows needed past each end
-    off = max(crop - r, 0)  # xp row feeding tap 0 of the first kept output
-    if pad:
-        xp = np.zeros((b, length + 2 * pad, in_ch), dtype=np.float32)
-        xp[:, pad : pad + length] = x.data
+    if r:
+        xp = np.zeros((b, length + 2 * r, in_ch), dtype=np.float32)
+        xp[:, r : r + length] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
-    out_data = np.broadcast_to(bias.data, (b, out_len, out_ch)).copy()
+    out_data = np.broadcast_to(bias.data, (b, length, out_ch)).copy()
     for w in range(width):
-        out_data += xp[:, off + w : off + w + out_len] @ filt.data[w]
+        out_data += xp[:, w : w + length] @ filt.data[w]
 
     def backward(g):
         if filt.requires_grad:
             df = np.empty_like(filt.data)
-            g2 = g.reshape(b * out_len, out_ch)
+            g2 = g.reshape(b * length, out_ch)
             for w in range(width):
-                seg = xp[:, off + w : off + w + out_len].reshape(b * out_len, in_ch)
-                df[w] = seg.T @ g2
+                df[w] = xp[:, w : w + length].reshape(b * length, in_ch).T @ g2
             _accum(filt, df)
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 1)))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for w in range(width):
-                dxp[:, off + w : off + w + out_len] += g @ filt.data[w].T
-            _accum(x, dxp[:, pad : pad + length])
+                dxp[:, w : w + length] += g @ filt.data[w].T
+            _accum(x, dxp[:, r : r + length])
 
     return Tensor(out_data, parents=(x, filt, bias), backward=backward)
 

@@ -174,7 +174,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     iteration: int = 0
     best_validation_q8: float = float("nan")
-    version: int = CHECKPOINT_VERSION
 
 
 def checkpoint_from_model(model, adam=None, iteration: int = 0,
@@ -193,7 +192,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     (sorted by name), then the iteration counter and best validation Q8.
     All integers little-endian. The file is replaced atomically.
     """
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", ckpt.version, len(ckpt.tensors))]
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
         arr = np.asarray(ckpt.tensors[name])
         if arr.dtype != np.float32:

@@ -37,11 +37,11 @@ def source_row(residues, labels, pssm=None, junk_seed=None):
     return row
 
 
-def _record(rid, residues, labels, rng):
+def _record(rid, residues, labels, rng, pssm_std=0.1):
     n = len(residues)
     features = np.zeros((SEQ_LEN, 42), dtype=np.float32)
     features[np.arange(n), residues] = 1.0
-    features[:n, 21:] = rng.normal(0.0, 0.1, size=(n, NUM_PSSM)).astype(np.float32)
+    features[:n, 21:] = rng.normal(0.0, pssm_std, size=(n, NUM_PSSM)).astype(np.float32)
     lab = np.full(SEQ_LEN, NOSEQ_CLASS, dtype=np.int64)
     lab[:n] = labels
     mask = np.zeros(SEQ_LEN, dtype=bool)
@@ -78,4 +78,27 @@ def markov_corpus(n=16, length=30, seed=0):
         mask[:length] = True
         records.append(ProteinRecord(id=f"markov{i:03d}", features=features,
                                      labels=labels, mask=mask, length=length))
+    return records
+
+
+def segment_corpus(n, length=100, seed=0):
+    """Records of ``length`` residues cut into segments of 20-49 residues.
+
+    Each segment's class is uniform on 0-7 and labels every position in it.
+    The segment's first residue is the class index (0-7), a marker; every
+    other residue is uniform on 8-20, and the PSSM is N(0, 1) noise. So a
+    position's label shows in the features only within reach of its
+    segment's marker; past that, only the label history carries it.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        residues = rng.integers(8, len(RESIDUE_ALPHABET), size=length)
+        labels = np.empty(length, dtype=np.int64)
+        start = 0
+        while start < length:
+            end = min(start + int(rng.integers(20, 50)), length)
+            labels[start:end] = residues[start] = rng.integers(0, 8)
+            start = end
+        records.append(_record(f"segment{i:03d}", residues, labels, rng, pssm_std=1.0))
     return records

@@ -70,16 +70,6 @@ def _grad_instance(op, rng):
              rng.standard_normal((width, c, out_c)),
              rng.standard_normal(out_c)],
         )
-    if op == "cropped_conv1d":
-        width = int(rng.choice([1, 3, 5]))
-        crop = int(rng.integers(1, 3))
-        out_c = int(rng.integers(1, 4))
-        return (
-            lambda ts: T.cropped_conv1d(*ts, crop),
-            [rng.standard_normal((b, length + 2 * crop, c)),
-             rng.standard_normal((width, c, out_c)),
-             rng.standard_normal(out_c)],
-        )
     if op == "dense":
         m = int(rng.integers(1, 5))
         return (
@@ -138,7 +128,7 @@ def _grad_instance(op, rng):
 
 
 GRAD_OPS = (
-    "conv1d", "cropped_conv1d", "dense", "batch_norm", "relu", "apply_mask",
+    "conv1d", "dense", "batch_norm", "relu", "apply_mask",
     "concat_channels", "gather_windows", "dropout", "softmax_cross_entropy",
 )
 

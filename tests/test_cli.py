@@ -16,7 +16,7 @@ from chaincnn.cli import (
     render_config,
     shipped_config_names,
 )
-from chaincnn.data import save_native, string_to_labels
+from chaincnn.data import SEQ_LEN, SOURCE_COLUMNS, save_native, string_to_labels
 from chaincnn.errors import ConfigError
 from chaincnn.metrics import q8
 from chaincnn.model import BlockSpec
@@ -618,6 +618,53 @@ class TestNpyCorpus:
         assert main(["eval", "--ckpt", out, "--data", str(d)]) == 2
         assert capsys.readouterr().err == (
             "error: record p00002: non-finite value nan at position 1, column 40\n")
+
+
+def write_records(path, records):
+    """``records`` as ``path``: native text for ``.txt``, a source matrix for ``.npy``."""
+    if str(path).endswith(".txt"):
+        save_native(records, str(path))
+        return
+    rows = [source_row(r.features[: r.length, :21].argmax(axis=1), r.labels[: r.length],
+                       r.features[: r.length, 21:]) for r in records]
+    np.save(path, np.stack(rows).reshape(len(rows), -1) if rows
+            else np.zeros((0, SEQ_LEN * SOURCE_COLUMNS), dtype=np.float32))
+
+
+class TestEmptyInput:
+    """A data file without records fails with exit 2 naming it; training on
+    an empty split fails with exit 1; neither raises a traceback."""
+
+    @pytest.mark.parametrize("suffix", [".txt", ".npy"])
+    @pytest.mark.parametrize("n_validation", [0, 256])
+    def test_empty_corpus_exit_2(self, tmp_path, tiny_cfg, suffix, n_validation, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        write_records(d / f"corpus{suffix}", [])
+        code = main(["train", "--config", tiny_cfg, "--data", str(d), "--out",
+                     str(tmp_path / "m.ckpt"), "--set", f"n_validation={n_validation}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {d / f'corpus{suffix}'}: no records\n"
+
+    @pytest.mark.parametrize("suffix", [".txt", ".npy"])
+    def test_empty_test_split_exit_2(self, tmp_path, tiny_cfg, data_dir, suffix, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        path = os.path.join(data_dir, f"test{suffix}")
+        write_records(path, [])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no records\n"
+
+    @pytest.mark.parametrize("suffix", [".txt", ".npy"])
+    def test_no_training_records_exit_1(self, tmp_path, tiny_cfg, suffix, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        write_records(d / f"corpus{suffix}", rule_corpus(n=6, length=12, seed=4))
+        code = main(["train", "--config", tiny_cfg, "--data", str(d), "--out",
+                     str(tmp_path / "m.ckpt"), "--set", "n_validation=6"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot compute PSSM statistics over zero positions\n")
 
 
 class TestUsage:

@@ -234,6 +234,12 @@ class TestNormalizePssm:
             model.forward(recs[0].features[None, :6], mask).data[0, :3],
             model.forward(junk[None, :6], mask).data[0, :3])
 
+    def test_zero_records_or_positions_rejected(self):
+        with pytest.raises(ParameterError, match="zero positions"):
+            D.compute_pssm_stats([])
+        with pytest.raises(ParameterError, match="zero positions"):
+            D.compute_pssm_stats(rule_corpus(n=2, length=0))
+
     def test_records_not_mutated(self):
         recs = self._records_with_column([1.0, 2.0, 3.0])
         before = recs[0].features.copy()

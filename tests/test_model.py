@@ -17,7 +17,9 @@ from chaincnn.model import (
     Model,
     ModelConfig,
     Stepper,
+    _norm_relu,
     _Queue,
+    _valid_conv,
     build,
     parameter_count,
     receptive_field,
@@ -237,7 +239,7 @@ class TestGraphFreeInference:
         model = randomized_stats_model(small_config(), 3)
         batch = self._batch()
         h = model._trunk(T.Tensor(model._with_context(batch.features, None)), batch.mask,
-                         False, None, valid=False)
+                         False, None)
         reference = model._head(T.gather_windows(h, model.config.fc_window), False, None)
         assert reference._parents
         np.testing.assert_array_equal(model.forward(batch.features, batch.mask).data,
@@ -385,6 +387,34 @@ class TestLabelContext:
                                    rtol=1e-5, atol=1e-6)
 
 
+class TestWindowKernels:
+    """The window path's plain-array conv and norm against the autodiff ops."""
+
+    @pytest.mark.parametrize("width,crop", [(1, 1), (3, 1), (3, 2), (5, 2), (5, 3)])
+    def test_valid_conv_keeps_inner_positions(self, rng, width, crop):
+        x = rng.standard_normal((3, 9, 4)).astype(np.float32)
+        lp = T.LayerParams("c", T.Tensor(rng.standard_normal((width, 4, 8))),
+                           T.Tensor(rng.standard_normal(8)))
+        out = _valid_conv(x, lp, crop)
+        assert out.shape == (3, 9 - 2 * crop, 8)
+        full = T.conv1d(T.Tensor(x), lp.weights, lp.biases).data
+        np.testing.assert_allclose(out, full[:, crop : 9 - crop], rtol=1e-5, atol=1e-5)
+
+    def test_valid_conv_hand_values(self):
+        x = np.array([[[1.0], [2.0], [3.0], [4.0]]], dtype=np.float32)
+        lp = T.LayerParams("c", T.Tensor(np.ones((3, 1, 1))), T.Tensor([0.5]))
+        np.testing.assert_array_equal(_valid_conv(x, lp, 1)[0, :, 0], [6.5, 9.5])
+
+    def test_norm_relu_is_the_infer_mode_ops(self):
+        model = randomized_stats_model(small_config(), 4)
+        lp = model.layers["block1.multi_norm"]
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 6, lp.weights.data.shape[0])).astype(np.float32)
+        mask = (rng.random((2, 6)) > 0.3).astype(np.float32)
+        ops = T.apply_mask(T.relu(T.batch_norm(T.Tensor(x), mask, lp, False)), mask)
+        np.testing.assert_array_equal(_norm_relu(x, lp, mask[:, :, None]), ops.data)
+
+
 class TestForwardWindow:
     def _window_inputs(self, rec, center, radius, conditioned_shift=None, length=None):
         width = 2 * radius + 1
@@ -458,6 +488,9 @@ class TestForwardWindow:
         # an unstacked window is rejected with the stacked shape it needs
         with pytest.raises(ShapeError, match=rf"\[batch, {width}, 42\]"):
             model.forward_window(np.zeros((width, 42), dtype=np.float32), np.ones(width))
+        # a mask that would broadcast over the batch is rejected too
+        with pytest.raises(ShapeError, match=rf"\[batch, {width}\] mask"):
+            model.forward_window(np.zeros((2, width, 42), dtype=np.float32), np.ones((1, width)))
 
 
 class TestForwardWindowMatchesOracle:

@@ -88,35 +88,6 @@ class TestConv1d:
         bias = rng.standard_normal(2).astype(np.float32)
         check_grad(lambda ts: T.conv1d(*ts), [x, filt, bias], seed=seed)
 
-    @pytest.mark.parametrize("width,crop", [(1, 1), (3, 1), (3, 2), (5, 1), (5, 3)])
-    def test_crop_keeps_inner_positions(self, rng, width, crop):
-        x = tensor(rng.standard_normal((3, 9, 4)))
-        filt = tensor(rng.standard_normal((width, 4, 8)))
-        bias = tensor(rng.standard_normal(8))
-        full = T.conv1d(x, filt, bias).data
-        out = T.cropped_conv1d(x, filt, bias, crop).data
-        assert out.shape == (3, 9 - 2 * crop, 8)
-        np.testing.assert_allclose(out, full[:, crop : 9 - crop], rtol=1e-5, atol=1e-5)
-
-    def test_crop_hand_values(self):
-        x = tensor([[[1.0], [2.0], [3.0], [4.0]]])
-        out = T.cropped_conv1d(x, tensor(np.ones((3, 1, 1))), tensor([0.0]), 1)
-        np.testing.assert_array_equal(out.data[0, :, 0], [6.0, 9.0])
-
-    @pytest.mark.parametrize("crop", [-1, 4])
-    def test_bad_crop_rejected(self, rng, crop):
-        x = tensor(rng.standard_normal((1, 6, 2)))
-        with pytest.raises(ParameterError):
-            T.cropped_conv1d(x, tensor(rng.standard_normal((3, 2, 2))), tensor(np.zeros(2)), crop)
-
-    @pytest.mark.parametrize("seed,width,crop", [(0, 3, 1), (1, 3, 2), (2, 5, 1), (3, 1, 2)])
-    def test_gradients_cropped(self, seed, width, crop):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((2, 7, 3)).astype(np.float32)
-        filt = rng.standard_normal((width, 3, 2)).astype(np.float32)
-        bias = rng.standard_normal(2).astype(np.float32)
-        check_grad(lambda ts: T.cropped_conv1d(*ts, crop), [x, filt, bias], seed=seed)
-
 
 class TestDense:
     def test_identity(self):

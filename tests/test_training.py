@@ -13,7 +13,7 @@ import chaincnn.tensor as T
 from chaincnn import metrics, training
 from chaincnn.data import NOSEQ_CLASS, DatasetSplit, make_batch
 from chaincnn.errors import CheckpointError, NonFiniteError, ParameterError
-from chaincnn.inference import decode_independent, step_scores
+from chaincnn.inference import beam_search, decode_independent, step_scores
 from chaincnn.model import BlockSpec, ModelConfig, build
 from chaincnn.training import (
     Checkpoint,
@@ -28,7 +28,7 @@ from chaincnn.training import (
     scheduled_sampling_pass,
     train,
 )
-from corpus import markov_corpus, rule_corpus, shipped_model
+from corpus import markov_corpus, rule_corpus, segment_corpus, shipped_model
 from test_model import conditioned_shipped, randomized_stats_model, small_config
 
 FC = TrainConfig(lr_init=4e-4, lr_decay_factor=0.5, lr_decay_every=35000,
@@ -416,6 +416,10 @@ class TestCheckpointFormat:
     def test_bad_magic(self, tmp_path, valid_bytes):
         self._expect_error(tmp_path, b"XXXX" + valid_bytes[4:], "magic")
 
+    def test_writer_stamps_the_format_version(self, valid_bytes):
+        assert "version" not in {f.name for f in dataclasses.fields(Checkpoint)}
+        assert struct.unpack("<I", valid_bytes[4:8]) == (training.CHECKPOINT_VERSION,)
+
     def test_unsupported_version(self, tmp_path, valid_bytes):
         payload = valid_bytes[:4] + struct.pack("<I", 9) + valid_bytes[8:]
         self._expect_error(tmp_path, payload, "version")
@@ -522,3 +526,43 @@ class TestTrainLoop:
         chained_q8 = evaluate_q8(chained, corpus)
         assert chained_q8 > plain_q8 + 0.15
         assert chained_q8 > 0.5
+
+
+class TestPlantedLongRangeGate:
+    """The paper's claim on a corpus built so that it must hold: on
+    ``segment_corpus`` a segment's label shows in the features only near its
+    marker, beyond a 5-wide receptive field for most positions, so only the
+    label history can carry it. Conditioning with width-8 beam search must
+    then beat independent argmax on held-out Q8 by more than 3 standard
+    errors. It checks decoded labels, not bits, so it holds on every BLAS
+    core, and it breaks if beam search, scheduled sampling or the Stepper
+    stop carrying labels forward."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conditioned_beam_beats_argmax(self, seed):
+        records = segment_corpus(104, seed=seed)
+        data = DatasetSplit(train=records[:64], validation=records[64:72], test=[], seed=0)
+        held_out = records[72:]
+        preds = {}
+        for conditioned in (False, True):
+            # the tiny config widened to one 3x16 block and a 32-wide fc layer
+            config = dataclasses.replace(tiny_config(conditioned), fc_width=32,
+                                         blocks=(BlockSpec(multi_scale=((3, 16),)),))
+            model = build(config, np.random.default_rng(seed))
+            train(model, data, tiny_train_config(seed=seed, sampling_rate_init=0.4))
+            decode = ((lambda r: beam_search(model, r, 8)) if conditioned
+                      else (lambda r: decode_independent(model, r)))
+            preds[conditioned] = [decode(r) for r in held_out]
+
+        def gain(indices):
+            subset = [held_out[i] for i in indices]
+            return (metrics.q8([preds[True][i] for i in indices], subset)
+                    - metrics.q8([preds[False][i] for i in indices], subset))
+
+        # the spread of half-size subsets drawn without replacement is the
+        # standard error of the full held-out gain (finite-population
+        # correction 1 - 16/32 on a mean over 16)
+        everything = range(len(held_out))
+        _, stderr = metrics.bootstrap_stderr(list(everything), len(held_out) // 2, 200, gain,
+                                             np.random.default_rng(seed))
+        assert gain(everything) > 3 * stderr, (gain(everything), stderr)
