@@ -52,7 +52,6 @@ from .training import (
     bind_checkpoint,
     load_checkpoint,
     save_checkpoint,
-    schedule_for,
     train,
     write_atomic,
 )
@@ -175,9 +174,7 @@ def build_run_config(values: dict[str, str], seed_override: int | None = None) -
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
     model = _from_values(ModelConfig, values)
     model.validate()
-    lr_init, lr_decay_factor, lr_decay_every = schedule_for(model.kind)
-    training = _from_values(TrainConfig, values, lr_init=lr_init,
-                            lr_decay_factor=lr_decay_factor, lr_decay_every=lr_decay_every)
+    training = _from_values(TrainConfig, values)
     # seed order: --seed, the file's seed, $CHAINCNN_SEED, the field default;
     # a malformed file seed has already failed above, even under --seed
     if seed_override is None and "seed" not in values and os.environ.get(SEED_ENV_VAR):
@@ -307,6 +304,9 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
 
 def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
     split = prepare_split(run, data_dir)
+    if not split.train:
+        raise ConfigError(f"n_validation = {run.n_validation} leaves no training records "
+                          f"in a corpus of {len(split.validation)}")
     model = build(run.model, np.random.default_rng(run.training.seed))
     mean, std = compute_pssm_stats(split.train)
     model.buffers["input_norm.pssm_mean"].data[...] = mean

@@ -58,7 +58,6 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str  # "fully_connected" | "convolutional"
     fc_window: int
     fc_layers: int
     fc_width: int = 455
@@ -70,20 +69,14 @@ class ModelConfig:
     fc_max_norm: float = 0.150
 
     def validate(self):
-        if self.kind not in ("fully_connected", "convolutional"):
-            raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.fc_window < 1 or self.fc_window % 2 == 0:
             raise ConfigError(f"fc_window {self.fc_window} must be odd and positive")
         if self.fc_layers < 1 or self.fc_width < 1:
             raise ConfigError("fc_layers and fc_width must be positive")
-        if self.kind == "convolutional" and not self.blocks:
-            raise ConfigError("convolutional models need at least one block")
-        if self.kind == "fully_connected" and self.blocks:
-            raise ConfigError("fully_connected models take no blocks")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate {self.dropout_rate} outside [0, 1)")
-        if self.fc_max_norm <= 0:
-            raise ConfigError("fc_max_norm must be positive")
+        if not 0 < self.fc_max_norm < math.inf:  # also rejects nan
+            raise ConfigError(f"fc_max_norm must be finite and positive, got {self.fc_max_norm}")
         if self.skip_projection_depth < 1:
             raise ConfigError("skip projection depth must be positive")
         for b in self.blocks:

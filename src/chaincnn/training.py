@@ -4,6 +4,7 @@ fully connected layers, early stopping on validation Q8, and binary
 checkpoint persistence.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -20,15 +21,6 @@ from .model import Model, Stepper
 CHECKPOINT_MAGIC = b"CCNN"
 CHECKPOINT_VERSION = 1
 RERANK_SNAPSHOTS = 3
-
-# (lr_init, lr_decay_factor, lr_decay_every) per architecture family
-FC_SCHEDULE = (4e-4, 0.5, 35000)
-CONV_SCHEDULE = (3.357e-4, 0.4, 200000)
-
-
-def schedule_for(kind: str):
-    return FC_SCHEDULE if kind == "fully_connected" else CONV_SCHEDULE
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,8 +40,8 @@ class TrainConfig:
     target_q8: float | None = None
 
     def validate(self) -> None:
-        if self.lr_init <= 0:
-            raise ParameterError(f"lr_init must be positive, got {self.lr_init}")
+        if not 0 < self.lr_init < math.inf:  # also rejects nan
+            raise ParameterError(f"lr_init must be finite and positive, got {self.lr_init}")
         if not 0 < self.lr_decay_factor < 1:
             raise ParameterError(
                 f"lr_decay_factor must lie in (0, 1), got {self.lr_decay_factor}"
@@ -64,9 +56,10 @@ class TrainConfig:
             raise ParameterError(
                 f"sampling_rate_init must lie in [0, 1], got {self.sampling_rate_init}"
             )
-        if self.sampling_rate_increment < 0:
+        if not 0 <= self.sampling_rate_increment < math.inf:
             raise ParameterError(
-                f"sampling_rate_increment must be >= 0, got {self.sampling_rate_increment}"
+                "sampling_rate_increment must be finite and >= 0, "
+                f"got {self.sampling_rate_increment}"
             )
         if self.target_q8 is not None and not 0.0 < self.target_q8 <= 1.0:
             raise ParameterError(f"target_q8 must lie in (0, 1], got {self.target_q8}")

@@ -362,7 +362,6 @@ def test_07_metrics_oracle():
 
 
 DETERMINISM_CFG = """\
-kind = convolutional
 fc_window = 3
 fc_layers = 1
 fc_width = 16

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from chaincnn.cli import (
+    _ALL_KEYS,
     RunConfig,
     build_run_config,
     load_run_config,
     main,
     parse_config_text,
+    read_config_source,
     render_config,
     shipped_config_names,
 )
@@ -20,12 +22,12 @@ from chaincnn.data import SEQ_LEN, SOURCE_COLUMNS, save_native, string_to_labels
 from chaincnn.errors import ConfigError
 from chaincnn.metrics import q8
 from chaincnn.model import BlockSpec
-from chaincnn.training import TrainConfig, load_checkpoint, save_checkpoint, schedule_for
+from chaincnn.training import TrainConfig, load_checkpoint, save_checkpoint
 from corpus import markov_corpus, rule_corpus, shipped_model, source_row
+from test_training import CONV, FC
 
 TINY_CFG = """\
 # minimal convolutional model for smoke tests
-kind = convolutional
 fc_window = 3
 fc_layers = 1
 fc_width = 16
@@ -70,20 +72,20 @@ def run_train(tmp_path, tiny_cfg, data_dir, name="m.ckpt", extra=()):
 
 class TestConfigParsing:
     def test_comments_and_blanks(self):
-        values = parse_config_text("# all of it\n\nkind = convolutional  # trailing\n")
-        assert values == {"kind": "convolutional"}
+        values = parse_config_text("# all of it\n\nblocks = none  # trailing\n")
+        assert values == {"blocks": "none"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("kine = convolutional\n")
+            parse_config_text("blocs = none\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text("kind = a\nkind = b\n")
+            parse_config_text("seed = 1\nseed = 2\n")
 
     def test_missing_equals_names_line(self):
         with pytest.raises(ConfigError, match=":3:"):
-            parse_config_text("kind = convolutional\n\njust words\n")
+            parse_config_text("blocks = none\n\njust words\n")
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="boolean"):
@@ -97,8 +99,12 @@ class TestConfigParsing:
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="max_iterations"):
-            build_run_config({"kind": "fully_connected", "fc_window": "17",
-                              "fc_layers": "5"})
+            build_run_config({"fc_window": "17", "fc_layers": "5", "lr_init": "0.0004",
+                              "lr_decay_factor": "0.5", "lr_decay_every": "35000"})
+
+    def test_missing_lr_init(self):
+        with pytest.raises(ConfigError, match="missing required key 'lr_init'"):
+            build_run_config(parse_config_text(TINY_CFG.replace("lr_init = 0.01\n", "")))
 
     def test_blocks_grammar(self):
         run = build_run_config(parse_config_text(
@@ -154,15 +160,23 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("row", range(1, 10))
     def test_rows_match_ladder(self, row, monkeypatch):
         # every row trains unconditioned with its family's learning-rate
-        # schedule and the paper's defaults for everything else
+        # schedule and the paper's defaults for everything else; row 1, the
+        # fully connected baseline, is the one without blocks
         monkeypatch.delenv("CHAINCNN_SEED", raising=False)
         run = load_run_config(f"ablation_row{row}", [])
-        assert run.model.kind == ("fully_connected" if row == 1 else "convolutional")
+        assert (run.model.blocks == ()) == (row == 1)
         assert not run.model.conditioned
-        lr_init, lr_factor, lr_every = schedule_for(run.model.kind)
-        assert run.training == TrainConfig(lr_init=lr_init, lr_decay_factor=lr_factor,
-                                           lr_decay_every=lr_every, max_iterations=1000000)
+        schedule = FC if row == 1 else CONV
+        assert run.training == dataclasses.replace(schedule, max_iterations=1000000)
         assert (run.data_dir, run.n_validation) == (None, 256)
+
+    @pytest.mark.parametrize("name", shipped_config_names())
+    def test_states_every_key(self, name):
+        # no row leans on a code default. ``data`` is left to --data or the
+        # sidecar, and ``seed`` to --seed or $CHAINCNN_SEED, which a file
+        # seed would shadow
+        values = parse_config_text(read_config_source(name)[0])
+        assert set(values) == _ALL_KEYS - {"data", "seed"}
 
     def test_chained_is_conditioned_final(self):
         run = load_run_config("chained", [])
@@ -299,6 +313,18 @@ class TestTrainCommand:
         assert Path(out + ".cfg").read_bytes() == before
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    @pytest.mark.parametrize("key", ("fc_max_norm", "lr_init", "sampling_rate_increment"))
+    def test_non_finite_hyperparameter_exit_1(self, tmp_path, tiny_cfg, data_dir, key, value,
+                                              capsys):
+        # each would otherwise train: nan turns max-norm or scheduled
+        # sampling off, and a non-finite lr fails only at the first step
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir,
+                     "--out", str(tmp_path / "m.ckpt"), "--set", f"{key}={value}"])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_numerical_blowup_exit_3(self, tmp_path, tiny_cfg, data_dir, capsys):
         code = main(["train", "--config", tiny_cfg, "--data", data_dir,
                      "--out", str(tmp_path / "m.ckpt"), "--set", "lr_init=1e30",
@@ -372,6 +398,15 @@ class TestEvalCommand:
         out = run_train(tmp_path, tiny_cfg, data_dir)
         os.remove(out + ".cfg")
         assert main(["eval", "--ckpt", out, "--data", data_dir]) == 1
+
+    def test_sidecar_with_kind_line_exit_1(self, tmp_path, tiny_cfg, data_dir, capsys):
+        # ``kind`` is no key: ``blocks = none`` alone makes the fully connected baseline
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        sidecar = Path(out + ".cfg")
+        sidecar.write_text("kind = convolutional\n" + sidecar.read_text())
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir]) == 1
+        assert capsys.readouterr().err == f"error: {sidecar}:1: unknown key 'kind'\n"
 
     def test_corrupt_checkpoint_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
@@ -664,7 +699,7 @@ class TestEmptyInput:
                      str(tmp_path / "m.ckpt"), "--set", "n_validation=6"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: cannot compute PSSM statistics over zero positions\n")
+            "error: n_validation = 6 leaves no training records in a corpus of 6\n")
 
 
 class TestUsage:

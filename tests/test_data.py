@@ -187,8 +187,9 @@ class TestNormalizePssm:
             r.features[:, 21:] = r.features[:, 21:] * 3 + 5
         D.save_native(records, str(tmp_path / "corpus.txt"))
         run = build_run_config({
-            "kind": "fully_connected", "fc_window": "3", "fc_layers": "1", "fc_width": "8",
-            "max_iterations": "2", "batch_size": "2", "eval_every": "1", "n_validation": "2",
+            "fc_window": "3", "fc_layers": "1", "fc_width": "8", "lr_init": "0.0004",
+            "lr_decay_factor": "0.5", "lr_decay_every": "35000", "max_iterations": "2",
+            "batch_size": "2", "eval_every": "1", "n_validation": "2",
         })
         out = str(tmp_path / "m.ckpt")
         assert _train_and_save(run, str(tmp_path), out) == 0
@@ -223,7 +224,7 @@ class TestNormalizePssm:
             mean, std = D.compute_pssm_stats(recs)
         out = D.apply_pssm_stats(recs[0].features, mean, std)
         np.testing.assert_allclose(out[3:, 21], -2.0 / math.sqrt(2.0 / 3.0), rtol=1e-6)
-        model = build(ModelConfig(kind="fully_connected", fc_window=3, fc_layers=1,
+        model = build(ModelConfig(fc_window=3, fc_layers=1,
                                   fc_width=8), np.random.default_rng(0))
         model.buffers["input_norm.pssm_mean"].data[...] = mean
         model.buffers["input_norm.pssm_std"].data[...] = std

@@ -29,7 +29,6 @@ from corpus import rule_corpus, shipped_model
 
 def small_config(conditioned=False, skip=True):
     return ModelConfig(
-        kind="convolutional",
         fc_window=5,
         fc_layers=2,
         fc_width=32,
@@ -45,7 +44,7 @@ def small_config(conditioned=False, skip=True):
 def window_config(fc_window):
     """A conditioned block-free model: its receptive field is the fc_window,
     so its conditioning shift is (fc_window + 1) // 2."""
-    return ModelConfig(kind="fully_connected", fc_window=fc_window, fc_layers=1,
+    return ModelConfig(fc_window=fc_window, fc_layers=1,
                        fc_width=8, conditioned=True)
 
 
@@ -122,14 +121,10 @@ class TestChannelArithmetic:
             BlockSpec().validate()
         with pytest.raises(ConfigError):
             BlockSpec(multi_scale=((4, 8),)).validate()
-        with pytest.raises(ConfigError):
-            ModelConfig(kind="convolutional", fc_window=11, fc_layers=2).validate()
-        with pytest.raises(ConfigError):
-            ModelConfig(kind="mystery", fc_window=11, fc_layers=2).validate()
 
     @pytest.mark.parametrize("config", [
-        ModelConfig(kind="fully_connected", fc_window=11, fc_layers=2),
-        ModelConfig(kind="convolutional", fc_window=11, fc_layers=2,
+        ModelConfig(fc_window=11, fc_layers=2),
+        ModelConfig(fc_window=11, fc_layers=2,
                     blocks=(BlockSpec(multi_scale=((3, 8),)),) * 2, skip_connections=True),
     ], ids=["fully_connected", "convolutional"])
     def test_skip_projection_depth_must_be_positive(self, config):
@@ -140,7 +135,7 @@ class TestChannelArithmetic:
 class TestReceptiveField:
     def test_single_conv(self):
         cfg = ModelConfig(
-            kind="convolutional", fc_window=1, fc_layers=1,
+            fc_window=1, fc_layers=1,
             blocks=(BlockSpec(multi_scale=((3, 4),)),),
         )
         assert receptive_field(cfg).width == 3
@@ -781,7 +776,7 @@ class TestUnshippedArchitectures:
            seed=st.integers(0, 2**31 - 1))
     @example(blocks=[BlockSpec(single_scale=(5, 3))] * 3, fc_window=3, skip_depth=2, seed=0)
     def test_plan_agrees_with_the_model(self, blocks, fc_window, skip_depth, seed):
-        config = ModelConfig(kind="convolutional", fc_window=fc_window, fc_layers=1,
+        config = ModelConfig(fc_window=fc_window, fc_layers=1,
                              fc_width=8, blocks=tuple(blocks), skip_connections=True,
                              skip_projection_depth=skip_depth, conditioned=True)
         model = randomized_stats_model(config, seed % 1000)
@@ -831,7 +826,7 @@ class TestUnshippedArchitectures:
 
 class TestAblationTable:
     def test_row_structure_spot_checks(self):
-        assert shipped_model("ablation_row1").kind == "fully_connected"
+        assert shipped_model("ablation_row1").blocks == ()
         assert shipped_model("ablation_row3").blocks == (BlockSpec(single_scale=(7, 32)),) * 2
         assert shipped_model("ablation_row5").fc_layers == 2
         assert shipped_model("ablation_row8").blocks[0].multi_scale == ((3, 64), (7, 64), (9, 64))

@@ -39,7 +39,6 @@ CONV = TrainConfig(lr_init=3.357e-4, lr_decay_factor=0.4, lr_decay_every=200000,
 
 def tiny_config(conditioned=False):
     return ModelConfig(
-        kind="convolutional",
         fc_window=3,
         fc_layers=1,
         fc_width=16,
@@ -481,7 +480,7 @@ class TestTrainLoop:
 
     def test_max_norm_holds_after_training(self):
         corpus = rule_corpus(n=4, length=10, seed=3)
-        cfg = ModelConfig(kind="fully_connected", fc_window=5, fc_layers=2,
+        cfg = ModelConfig(fc_window=5, fc_layers=2,
                           fc_width=16, dropout_rate=0.2, fc_max_norm=0.04614)
         model = build(cfg, np.random.default_rng(4))
         train(model, split_of(corpus), tiny_train_config(max_iterations=40, eval_every=40))
