@@ -185,8 +185,11 @@ def build_run_config(values: dict[str, str], seed_override: int | None = None) -
     if seed_override is not None:
         training = dataclasses.replace(training, seed=seed_override)
     training.validate()
-    return _from_values(RunConfig, values, model=model, training=training,
-                        data_dir=values.get("data") or None)
+    run = _from_values(RunConfig, values, model=model, training=training,
+                       data_dir=values.get("data") or None)
+    if run.n_validation < 0:
+        raise ConfigError(f"n_validation must be >= 0, got {run.n_validation}")
+    return run
 
 
 def render_config(run: RunConfig) -> str:
@@ -269,8 +272,11 @@ def load_records(data_dir: str | None, stem: str):
 
 
 def prepare_split(run: RunConfig, data_dir: str | None):
-    return split_records(load_records(data_dir, "corpus"),
-                         n_val=run.n_validation, seed=run.training.seed)
+    records = load_records(data_dir, "corpus")
+    if run.n_validation > len(records):
+        raise ConfigError(f"n_validation = {run.n_validation} exceeds a corpus of "
+                          f"{len(records)} records")
+    return split_records(records, n_val=run.n_validation, seed=run.training.seed)
 
 
 def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:

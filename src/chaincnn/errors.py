@@ -19,7 +19,8 @@ class ParameterError(ChainCnnError, ValueError):
 
 
 class ModeError(ChainCnnError, ValueError):
-    """An operation was invoked with a model of the wrong kind."""
+    """An operation was invoked in a mode it does not support: with a model
+    of the wrong kind, or as a backward through an already consumed graph."""
 
 
 class DegenerateStatsError(ChainCnnError, ValueError):

@@ -3,7 +3,13 @@
 Deliberately minimal: only the layer set the sequence labelers need.
 Ops build a graph of closures; calling ``backward`` on the result walks
 the graph in reverse topological order and accumulates gradients into
-every tensor that asked for them. Inside ``no_graph()`` a thread's ops
+every tensor that asked for them. A graph is single-use: the walk frees
+each op node (a tensor with parents) as soon as its closure has run, so
+it keeps its ``data`` but loses its gradient, closure and parents, and
+with them every activation only the closure still held. Leaves (tensors
+without parents: parameters and inputs) keep their gradients. A later
+walk that reaches a freed node, a second ``backward`` or one through a
+tensor built on it, raises ``ModeError``. Inside ``no_graph()`` a thread's ops
 record no graph, so inference frees each intermediate as soon as the next
 op replaces it. Data and gradients are float32 throughout; loss and
 statistic reductions run their sums in float64 before rounding back.
@@ -21,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateStatsError,
     EmptyLossError,
+    ModeError,
     NonFiniteError,
     ParameterError,
     ShapeError,
@@ -85,6 +92,14 @@ class Tensor:
 
         ``seed`` defaults to ones and must match this tensor's shape; pass
         an explicit cotangent to differentiate a non-scalar output.
+
+        The walk consumes the graph. Once a node's closure has run, the
+        node drops its ``grad``, closure and parents, so each intermediate
+        activation and gradient is freed after its last consumer used it,
+        and this tensor itself ends with ``grad`` None. Leaves keep their
+        gradients. Reaching a consumed node, by calling ``backward`` twice
+        or through a tensor built on a consumed one, raises ``ModeError``
+        before any gradient is touched; run the forward again instead.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -102,6 +117,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ModeError("backward reached a graph node an earlier backward "
+                                "consumed; run the forward again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -109,9 +127,12 @@ class Tensor:
                     stack.append((p, False))
 
         _accum(self, seed)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._parents:
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = node._parents = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

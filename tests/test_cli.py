@@ -702,6 +702,46 @@ class TestEmptyInput:
             "error: n_validation = 6 leaves no training records in a corpus of 6\n")
 
 
+class TestValidationCount:
+    """An ``n_validation`` outside 0..corpus size fails with exit 1 naming the
+    key, before any training; ``train``, ``ablate`` and ``eval`` agree."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_exit_1(self, tmp_path, tiny_cfg, data_dir, command, capsys):
+        code = main(self._argv(command, tiny_cfg, data_dir, tmp_path, -1))
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_validation must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_above_the_corpus_exit_1(self, tmp_path, tiny_cfg, command, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        save_native(rule_corpus(n=6, length=12, seed=4), str(d / "corpus.txt"))
+        code = main(self._argv(command, tiny_cfg, str(d), tmp_path, 7))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: n_validation = 7 exceeds a corpus of 6 records\n")
+        assert not [p.name for p in tmp_path.rglob("*.ckpt")]
+
+    def test_eval_on_a_smaller_corpus_exit_1(self, tmp_path, tiny_cfg, data_dir, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir, extra=("--set", "n_validation=5"))
+        small = tmp_path / "small"
+        small.mkdir()
+        save_native(rule_corpus(n=3, length=12, seed=4), str(small / "corpus.txt"))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", str(small)]) == 1
+        assert capsys.readouterr().err == (
+            "error: n_validation = 5 exceeds a corpus of 3 records\n")
+
+    @staticmethod
+    def _argv(command, tiny_cfg, data_dir, tmp_path, n_validation):
+        if command == "train":
+            head = ["train", "--config", tiny_cfg, "--out", str(tmp_path / "m.ckpt")]
+        else:
+            head = ["ablate", "--row", "1", "--out", str(tmp_path / "rows")]
+        return head + ["--data", data_dir, "--set", f"n_validation={n_validation}"]
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

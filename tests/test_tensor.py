@@ -10,6 +10,7 @@ import chaincnn.tensor as T
 from chaincnn.errors import (
     DegenerateStatsError,
     EmptyLossError,
+    ModeError,
     NonFiniteError,
     ParameterError,
     ShapeError,
@@ -374,6 +375,71 @@ class TestStructuralOps:
         other = run(noisy)
         for got, want in zip(other, base):
             np.testing.assert_array_equal(got, want)
+
+
+class TestSingleUseGraph:
+    """``backward`` consumes the graph it walks: op nodes drop their
+    gradient, closure and parents, leaves keep their gradients, and a walk
+    that reaches a consumed node raises ``ModeError``."""
+
+    @staticmethod
+    def _leaves(rng):
+        return [tensor(rng.standard_normal(shape)) for shape in ((2, 3, 4), (4, 5), (5,))]
+
+    @staticmethod
+    def _forward(x, w, b):
+        h = T.relu(x)
+        return h, T.dense(h, w, b)
+
+    def test_op_nodes_are_freed_and_leaves_keep_gradients(self, rng):
+        x, w, b = self._leaves(rng)
+        h, out = self._forward(x, w, b)
+        out.backward(np.ones_like(out.data))
+        for node in (h, out):
+            assert node.grad is None and node._backward is None and node._parents is None
+            assert node.data.shape  # values stay readable
+        assert all(leaf.grad is not None for leaf in (x, w, b))
+
+    def test_second_backward_raises_before_touching_gradients(self, rng):
+        x, w, b = self._leaves(rng)
+        _, out = self._forward(x, w, b)
+        out.backward(np.ones_like(out.data))
+        grads = [leaf.grad.copy() for leaf in (x, w, b)]
+        with pytest.raises(ModeError, match="consumed"):
+            out.backward(np.ones_like(out.data))
+        for leaf, g in zip((x, w, b), grads):
+            np.testing.assert_array_equal(leaf.grad, g)
+
+    def test_backward_through_a_tensor_built_on_a_consumed_node_raises(self, rng):
+        x, w, b = self._leaves(rng)
+        h, out = self._forward(x, w, b)
+        out.backward(np.ones_like(out.data))
+        with pytest.raises(ModeError, match="consumed"):
+            T.relu(h).backward(np.ones_like(h.data))
+        with pytest.raises(ModeError, match="consumed"):
+            T.relu(out).backward(np.ones_like(out.data))
+
+    def test_fresh_forward_after_a_refused_walk_works(self, rng):
+        x, w, b = self._leaves(rng)
+        _, out = self._forward(x, w, b)
+        out.backward(np.ones_like(out.data))
+        first = [leaf.grad.copy() for leaf in (x, w, b)]
+        with pytest.raises(ModeError):
+            out.backward(np.ones_like(out.data))
+        with pytest.raises(ModeError):
+            T.relu(out).backward(np.ones_like(out.data))
+        for leaf in (x, w, b):
+            leaf.grad = None
+        _, again = self._forward(x, w, b)
+        again.backward(np.ones_like(again.data))
+        for leaf, g in zip((x, w, b), first):
+            np.testing.assert_array_equal(leaf.grad, g)
+
+    def test_a_leaf_root_accumulates(self):
+        x = tensor([1.0, 2.0])
+        x.backward()
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 class TestAdam:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +262,83 @@ def mixed_length_corpus(n=24, seed=0):
     lengths = np.random.default_rng(seed).integers(3, 41, size=n)
     return [rule_corpus(n=1, length=int(length), seed=seed + i)[0]
             for i, length in enumerate(lengths)]
+
+
+def training_step(model, records, seed):
+    """The loss of one ``train`` step on ``records`` as one padded batch, at
+    sampling rate 0.4 for a conditioned model; the graph is not walked."""
+    rng = np.random.default_rng(seed)
+    batch = batch_of(records)
+    context = None
+    if model.config.conditioned:
+        context = model.label_context(scheduled_sampling_pass(model, batch, 0.4, rng))
+    logits = model.forward(batch.features, batch.mask, context, train=True, rng=rng)
+    return T.softmax_cross_entropy(logits, batch.labels, batch.mask)
+
+
+def topological_order(root):
+    """Every node of ``root``'s graph, each after all of its parents."""
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return order
+
+
+def keep_everything_backward(root):
+    """Reference walk: ``Tensor.backward`` before it freed the graph. Every
+    node keeps its gradient, closure and parents until the caller drops the
+    graph; the gradients it leaves on the leaves are the oracle."""
+    order = topological_order(root)
+    T._accum(root, np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestBackwardFreesTheGraph:
+    """A training step's ``loss.backward()`` frees every activation and
+    intermediate gradient while it walks, and leaves the parameters the same
+    gradients the keep-everything walk does."""
+
+    def test_interior_tensors_die_during_the_walk(self):
+        model = build(shipped_model("chained"), np.random.default_rng(0))
+        records = mixed_length_corpus(n=3, seed=4)
+        assert model.config.conditioned and len({r.length for r in records}) > 1
+        loss = training_step(model, records, seed=1)
+        interior = [t for t in topological_order(loss) if t._parents and t is not loss]
+        assert len(interior) > 30
+        # a Tensor takes no weak reference (__slots__), so its data array
+        # and its closure, the memory it holds, stand in for it
+        refs = [weakref.ref(t.data) for t in interior]
+        refs += [weakref.ref(t._backward) for t in interior if t._backward is not None]
+        del interior
+        loss.backward()
+        assert sum(r() is not None for r in refs) == 0
+        assert loss.grad is None and loss._parents is None
+        assert all(t.grad is not None for t in model.trainable().values())
+
+    @pytest.mark.parametrize("name", ["chained", "ablation_row9", "ablation_row1"])
+    def test_gradients_match_the_keep_everything_walk(self, name):
+        records = mixed_length_corpus(n=3, seed=5)
+        grads = []
+        for walk in (keep_everything_backward, T.Tensor.backward):
+            model = build(shipped_model(name), np.random.default_rng(2))
+            walk(training_step(model, records, seed=3))
+            grads.append({k: t.grad for k, t in model.trainable().items()})
+        assert grads[0].keys() == grads[1].keys()
+        for k in grads[0]:
+            assert grads[0][k] is not None
+            np.testing.assert_array_equal(grads[1][k], grads[0][k], err_msg=k)
 
 
 class TestEvaluateQ8:
