@@ -283,12 +283,13 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
     """The checkpoints as one ensemble, plus each member's run config."""
     models, runs = [], []
     for path in paths:
+        ckpt = load_checkpoint(path)  # a missing checkpoint is named before its sidecar
         sidecar = path + ".cfg"
         if not os.path.exists(sidecar):
             raise ConfigError(f"missing config sidecar {sidecar!r}")
         run = load_run_config(sidecar, [])
         model = build(run.model, np.random.default_rng(0))
-        bind_checkpoint(load_checkpoint(path), model)
+        bind_checkpoint(ckpt, model)
         models.append(model)
         runs.append(run)
     return Ensemble(tuple(models)), runs
@@ -309,6 +310,9 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
 
 
 def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):  # before training, which can take hours
+        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
     split = prepare_split(run, data_dir)
     if not split.train:
         raise ConfigError(f"n_validation = {run.n_validation} leaves no training records "

@@ -26,6 +26,7 @@ a record's padded tail can never influence a masked-in position.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +104,7 @@ class _Stage:
     norm: str
     channels: int
 
-    @property
+    @functools.cached_property  # read on every Stepper step
     def width(self) -> int:
         return max(w for _, w, _ in self.convs)
 
@@ -330,12 +331,11 @@ class Model:
 
         Only what the center logit depends on is computed. The trunk runs
         on plain arrays as a valid-convolution pyramid (for ``chained``: 43
-        -> 35 -> 27 -> 19 -> 11 columns): each stage drops width // 2
-        columns at each end, its convs through ``_valid_conv`` and its norm
-        through ``_norm_relu``, which ``Stepper`` shares. Its last
-        fc_window columns, flattened window-position major, are exactly
-        the center's ``gather_windows`` row, and the head runs once per
-        window, not once per window position.
+        -> 35 -> 27 -> 19 -> 11 columns) over time-major windows, rows
+        padded as ``Stepper`` pads them: each ``_stage`` drops width // 2
+        columns at each end. Its last fc_window columns, flattened
+        window-position major, are exactly the center's ``gather_windows``
+        row, and the head runs once per window, not once per window position.
 
         ``forward`` over the window, center kept, is the reference. The
         center rows go through ``_score_rows``, which rounds them as that
@@ -352,20 +352,33 @@ class Model:
             raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows (width = "
                              f"receptive field) and a [batch, {width}] mask, got "
                              f"{features.shape} and {mask.shape}")
-        h = self._with_context(features, context) * mask[:, :, None]
+        n = features.shape[0]
+        blocks = _row_blocks(n, 2)  # one row would go to gemv
+        x = self._with_context(features, context)
+        h = np.zeros((width, blocks[-1][1], x.shape[2]), dtype=np.float32)
+        cols = np.zeros(h.shape[:2] + (1,), dtype=np.float32)  # the mask, time-major
+        h[:, :n], cols[:, :n, 0] = x.transpose(1, 0, 2), mask.T
+        h *= cols
         for block in self._plan.blocks:
             block_in = h
             for stage in block.stages:
                 crop = stage.width // 2
-                mask = mask[:, crop : mask.shape[1] - crop]
-                h = np.concatenate([_valid_conv(h, self.layers[name], crop)
-                                    for name, _, _ in stage.convs], axis=2)
-                h = _norm_relu(h, self.layers[stage.norm], mask[:, :, None])
+                cols = cols[crop : len(cols) - crop]
+                h = self._stage(stage, h, cols, blocks)
             if block.skip:  # the block input's columns beside the block output's
-                proj = _valid_conv(block_in, self.layers[block.skip],
-                                   (block_in.shape[1] - h.shape[1]) // 2)
-                h = np.concatenate([h, proj], axis=2) * mask[:, :, None]
-        return self._score_rows(h.reshape(h.shape[0], -1))
+                proj = _conv_columns(block_in, self.layers[block.skip],
+                                     (len(block_in) - len(h)) // 2, blocks)
+                h = np.concatenate([h, proj], axis=2) * cols
+        return self._score_rows(h[:, :n].transpose(1, 0, 2).reshape(n, h.shape[0] * h.shape[2]))
+
+    def _stage(self, stage: _Stage, x: np.ndarray, mask: np.ndarray, blocks) -> np.ndarray:
+        """``stage`` at positions [width // 2, length - width // 2) of
+        time-major [length, rows, channels] ``x``: its convs, depth-
+        concatenated, then batch norm, ReLU and ``mask`` through ``_norm_relu``."""
+        crop = stage.width // 2
+        h = np.concatenate([_conv_columns(x, self.layers[name], crop, blocks)
+                            for name, _, _ in stage.convs], axis=2)
+        return _norm_relu(h, self.layers[stage.norm], mask)
 
     def _score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
@@ -383,18 +396,26 @@ class Model:
         return T.log_softmax(np.concatenate(logits)[:n])
 
 
-def _valid_conv(x: np.ndarray, lp: T.LayerParams, crop: int) -> np.ndarray:
-    """Conv layer ``lp`` of [batch, length, in] ``x`` at positions [crop,
-    length - crop) only, for crop >= width // 2, so no kept position reads
-    padding. The bias is copied, then x[t - r + w] @ filt[w] is added for
-    taps w in order, one matmul per record and tap, as ``tensor.conv1d``
-    sums them."""
+def _conv_columns(x: np.ndarray, lp: T.LayerParams, crop: int, blocks) -> np.ndarray:
+    """Conv layer ``lp`` of C-contiguous, time-major [length, rows, in] ``x``
+    at the n = length - 2 * crop positions [crop, length - crop) only, for
+    crop >= width // 2, so none reads padding. The taps are one strided
+    [width, n, rows, in] view; each ``blocks`` block runs one batched matmul,
+    a 2-D [rows_block, in] @ [in, out] sgemm per tap and column (never one
+    over stacked columns, whose row count would differ between the scorers
+    that share this), and one sum over the leading axis adds bias and taps
+    in tap order, as ``tensor.conv1d`` does."""
     filt = lp.weights.data
-    off, n = crop - filt.shape[0] // 2, x.shape[1] - 2 * crop
-    out = np.broadcast_to(lp.biases.data, (x.shape[0], n, filt.shape[2])).copy()
-    for w in range(filt.shape[0]):
-        out += x[:, off + w : off + w + n] @ filt[w]
-    return out
+    width, _, out = filt.shape
+    n = len(x) - 2 * crop
+    step = x.strides[0]
+    taps = np.ndarray((width, n) + x.shape[1:], np.float32, x, (crop - width // 2) * step,
+                      (step,) + x.strides)
+    terms = np.empty((width + 1, n, x.shape[1], out), dtype=np.float32)
+    terms[0] = lp.biases.data
+    for lo, hi in blocks:
+        np.matmul(taps[:, :, lo:hi], filt[:, None], out=terms[1:, :, lo:hi])
+    return terms.sum(axis=0)
 
 
 def _norm_relu(x: np.ndarray, lp: T.LayerParams, mask: np.ndarray) -> np.ndarray:
@@ -409,18 +430,18 @@ def _norm_relu(x: np.ndarray, lp: T.LayerParams, mask: np.ndarray) -> np.ndarray
 def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
     """Even [lo, hi) blocks of at most 128 rows over max(n, floor) rows.
 
-    The window path and ``Stepper`` run their matmuls on these blocks so
-    that BLAS rounds each row as the full ``forward`` does, which multiplies
-    one record's rows per call. OpenBLAS sgemm rounds a row alike at any
-    row count within one kernel regime: gemv for one row, a small-matrix
-    kernel for small products, a blocked kernel above. In every shipped
-    head the fc layers run the blocked kernel from 16 rows up and the 9-wide
-    output layer the small-matrix one up to 128, so ``_score_rows`` uses a
-    floor of 16. ``Stepper``'s convs use a floor of 2, since one row would
-    go to gemv: each block runs one batched matmul, a 2-D sgemm per tap, so
-    at 256 rows a shipped trunk tap would leave the small-matrix kernel.
-    For the shipped configs the tests check both paths bit-identical to
-    ``forward``; other shapes can differ in the last bits.
+    The scorers run their matmuls on these blocks so that BLAS rounds each
+    row as the full ``forward`` does, which multiplies one record's rows
+    per call. OpenBLAS sgemm rounds a row alike at any row count within one
+    kernel regime: gemv for one row, a small-matrix kernel for small
+    products, a blocked kernel above. In every shipped head the fc layers
+    run the blocked kernel from 16 rows up and the 9-wide output layer the
+    small-matrix one up to 128, so ``_score_rows`` uses a floor of 16;
+    ``_conv_columns`` runs on a floor of 2, as one row would go to gemv,
+    and at 256 rows a shipped trunk tap would leave the small-matrix kernel.
+    For the shipped configs the tests check ``forward_window`` and
+    ``Stepper`` bit-identical to ``forward`` on the SkylakeX core; other
+    cores and shapes can differ in the last bits.
     """
     rows = max(n, floor)
     blocks = -(-rows // 128)
@@ -467,15 +488,10 @@ class Stepper:
     next position, its column's label channels overwritten by the labels.
 
     The scores are bit-identical to ``Model.forward_window`` over the same
-    windows for the shipped configs (the tests check every one):
-    - a conv reads its taps as one ``_Queue.span`` and runs one batched
-      matmul per ``_row_blocks`` block of 2 to 128 rows, which is a 2-D
-      [rows, in] @ [in, out] sgemm per tap; one sum over the leading axis
-      then adds the bias and the taps in tap order, as the per-tap ``+=`` of
-      ``_valid_conv`` does;
-    - batch norm, ReLU and the mask go through the window path's
-      ``_norm_relu``;
-    - the head scores through ``Model._score_rows``.
+    windows on every BLAS core, by construction: on rows padded to the same
+    ``_row_blocks``, each stage step is ``Model._stage`` over its queue's
+    last ``stage.width`` columns, a skip projection is ``_conv_columns``
+    over one ``_Queue.span`` column, and the head is ``Model._score_rows``.
     """
 
     def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
@@ -498,18 +514,14 @@ class Stepper:
         self._mask[: self.n, :length] = mask
         self._column = 0
 
-        self._blocks = []  # per block: [(input queue, convs, norm, delay)], skip
+        self._queues = []  # per block: one input queue per stage
         for block in model._plan.blocks:
             # the skip projection reads the block input at the block's output position
             sizes = [stage.width for stage in block.stages]
             if block.skip:
                 sizes[0] = max(sizes[0], sum(w // 2 for w in sizes) + 1)
-            self._blocks.append(([
-                (_Queue(size, rows, stage.channels),
-                 [model.layers[name] for name, _, _ in stage.convs],
-                 model.layers[stage.norm], stage.width // 2)
-                for size, stage in zip(sizes, block.stages)
-            ], model.layers[block.skip] if block.skip else None))
+            self._queues.append([_Queue(size, rows, stage.channels)
+                                 for size, stage in zip(sizes, block.stages)])
         self._head_queue = _Queue(model.config.fc_window, rows, model._plan.trunk_channels)
         no_seq = np.full(self.n, NOSEQ_CLASS, dtype=np.int64)
         for _ in range(radius):
@@ -532,36 +544,18 @@ class Stepper:
         x[: self.n, NUM_FEATURES:] = _one_hot(labels, (self.n,))
         self._column += 1
         h = x * self._mask[:, col, None]
-        for stages, skip in self._blocks:
-            h, col = self._block(stages, skip, h, col)
+        for block, queues in zip(self.model._plan.blocks, self._queues):
+            start = col  # the block input's position; col becomes its output's
+            for stage, queue in zip(block.stages, queues):
+                queue.push(h)
+                col -= stage.width // 2
+                h = self.model._stage(stage, queue.span(0, stage.width), self._mask_at(col),
+                                      self._row_blocks)[0]
+            if block.skip:
+                proj = _conv_columns(queues[0].span(start - col, 1),
+                                     self.model.layers[block.skip], 0, self._row_blocks)[0]
+                h = np.concatenate([h, proj], axis=1) * self._mask_at(col)
         self._head_queue.push(h)
-
-    def _block(self, stages, skip, h: np.ndarray, col: int):
-        """A block's newest output column and its position, given the newest
-        input column ``h`` at position ``col``."""
-        start = col
-        for queue, convs, norm, delay in stages:
-            queue.push(h)
-            col -= delay
-            h = np.concatenate([self._conv(lp, queue, delay) for lp in convs], axis=1)
-            h = _norm_relu(h, norm, self._mask_at(col))
-        if skip is not None:
-            proj = self._conv(skip, stages[0][0], start - col)
-            h = np.concatenate([h, proj], axis=1) * self._mask_at(col)
-        return h, col
-
-    def _conv(self, lp: T.LayerParams, queue: _Queue, at: int) -> np.ndarray:
-        """The conv's output column centered ``at`` columns behind the newest:
-        every tap's product in one batched matmul, summed in tap order onto
-        the bias."""
-        filt = lp.weights.data
-        width = filt.shape[0]
-        taps = queue.span(at - width // 2, width)
-        terms = np.empty((width + 1, taps.shape[1], filt.shape[2]), dtype=np.float32)
-        terms[0] = lp.biases.data
-        for lo, hi in self._row_blocks:
-            np.matmul(taps[:, lo:hi], filt, out=terms[1:, lo:hi])
-        return terms.sum(axis=0)
 
     def _mask_at(self, col: int) -> np.ndarray:
         if col < 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chaincnn.cli
 from chaincnn.cli import (
     _ALL_KEYS,
     RunConfig,
@@ -288,11 +289,18 @@ class TestTrainCommand:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_out_in_missing_directory_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
+    def test_out_in_missing_directory_exit_2(self, tmp_path, tiny_cfg, data_dir,
+                                             monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output directory")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        missing = tmp_path / "missing"
         code = main(["train", "--config", tiny_cfg, "--data", data_dir,
-                     "--out", str(tmp_path / "missing" / "m.ckpt")])
+                     "--out", str(missing / "m.ckpt")])
         assert code == 2
-        assert "missing" in capsys.readouterr().err
+        want = f"error: output directory {str(missing)!r} does not exist\n"
+        assert capsys.readouterr().err == want
 
     def test_failed_sidecar_write_keeps_previous_exit_2(self, tmp_path, tiny_cfg, data_dir,
                                                         monkeypatch, capsys):
@@ -393,6 +401,16 @@ class TestEvalCommand:
         assert main(["eval", "--ckpt", out, "--data", data_dir, "--split", "test"]) == 2
         err = capsys.readouterr().err
         assert "test.txt" in err and f"record {records[0].id} has no labels" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_missing_checkpoint_exit_2(self, tmp_path, data_dir, command, capsys):
+        # no checkpoint and no sidecar: the error names the checkpoint
+        missing = str(tmp_path / "nope.ckpt")
+        args = {"eval": ["--data", data_dir],
+                "predict": ["--input", data_dir + "/corpus.txt", "--output", str(tmp_path / "p")]}
+        assert main([command, "--ckpt", missing, *args[command]]) == 2
+        err = capsys.readouterr().err
+        assert repr(missing) in err and ".cfg" not in err
 
     def test_missing_sidecar_exit_1(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chaincnn.model
 import chaincnn.tensor as T
 from chaincnn.data import NOSEQ_CLASS, NUM_CLASSES, make_batch
 from chaincnn.errors import ConfigError, ModeError, ParameterError, ShapeError
@@ -17,9 +18,10 @@ from chaincnn.model import (
     Model,
     ModelConfig,
     Stepper,
+    _conv_columns,
     _norm_relu,
     _Queue,
-    _valid_conv,
+    _row_blocks,
     build,
     parameter_count,
     receptive_field,
@@ -383,22 +385,28 @@ class TestLabelContext:
 
 
 class TestWindowKernels:
-    """The window path's plain-array conv and norm against the autodiff ops."""
+    """The scorers' plain-array conv and norm against the autodiff ops."""
 
+    # (1, 1), (3, 2) and (5, 3): a narrower conv inside a wider stage's crop
     @pytest.mark.parametrize("width,crop", [(1, 1), (3, 1), (3, 2), (5, 2), (5, 3)])
     def test_valid_conv_keeps_inner_positions(self, rng, width, crop):
         x = rng.standard_normal((3, 9, 4)).astype(np.float32)
         lp = T.LayerParams("c", T.Tensor(rng.standard_normal((width, 4, 8))),
                            T.Tensor(rng.standard_normal(8)))
-        out = _valid_conv(x, lp, crop)
-        assert out.shape == (3, 9 - 2 * crop, 8)
+        out = _conv_columns(np.ascontiguousarray(x.transpose(1, 0, 2)), lp, crop,
+                            _row_blocks(3, 2))
+        assert out.shape == (9 - 2 * crop, 3, 8)
         full = T.conv1d(T.Tensor(x), lp.weights, lp.biases).data
-        np.testing.assert_allclose(out, full[:, crop : 9 - crop], rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(out.transpose(1, 0, 2), full[:, crop : 9 - crop],
+                                   rtol=1e-5, atol=1e-5)
 
     def test_valid_conv_hand_values(self):
-        x = np.array([[[1.0], [2.0], [3.0], [4.0]]], dtype=np.float32)
+        # two rows, time-major: the second row is the first times 10
+        x = np.array([[[1.0], [10.0]], [[2.0], [20.0]], [[3.0], [30.0]], [[4.0], [40.0]]],
+                     dtype=np.float32)
         lp = T.LayerParams("c", T.Tensor(np.ones((3, 1, 1))), T.Tensor([0.5]))
-        np.testing.assert_array_equal(_valid_conv(x, lp, 1)[0, :, 0], [6.5, 9.5])
+        np.testing.assert_array_equal(_conv_columns(x, lp, 1, [(0, 2)])[:, :, 0],
+                                      [[6.5, 60.5], [9.5, 90.5]])
 
     def test_norm_relu_is_the_infer_mode_ops(self):
         model = randomized_stats_model(small_config(), 4)
@@ -463,6 +471,34 @@ class TestForwardWindow:
             masks.append(m)
         batched = model.forward_window(np.stack(feats), np.stack(masks))
         np.testing.assert_array_equal(batched, np.stack(singles))
+
+    def test_zero_windows(self):
+        model = build(small_config(conditioned=True), np.random.default_rng(14))
+        width = model.receptive_field().width
+        got = model.forward_window(np.zeros((0, width, 42), dtype=np.float32),
+                                   np.zeros((0, width)), np.zeros((0, width), dtype=np.int64))
+        assert got.shape == (0, NUM_CLASSES)
+
+    def test_one_window_pads_rows_to_two(self, monkeypatch):
+        """One row would go to gemv, so the trunk runs it beside a zero row:
+        its score is the first of two windows whose second is all padding."""
+        model = build(small_config(), np.random.default_rng(15))
+        width = model.receptive_field().width
+        rng = np.random.default_rng(2)
+        feats = rng.standard_normal((1, width, 42)).astype(np.float32)
+        mask = (rng.random((1, width)) > 0.2).astype(np.float32)
+        seen = []
+
+        def recording(x, lp, crop, blocks):
+            seen.append((x.shape[1], list(blocks)))
+            return _conv_columns(x, lp, crop, blocks)
+
+        monkeypatch.setattr(chaincnn.model, "_conv_columns", recording)
+        got = model.forward_window(feats, mask)
+        assert seen and all(s == (2, [(0, 2)]) for s in seen)
+        padded = model.forward_window(np.concatenate([feats, np.zeros_like(feats)]),
+                                      np.concatenate([mask, np.zeros_like(mask)]))
+        np.testing.assert_array_equal(got, padded[:1])
 
     def test_context_mode_errors(self):
         plain = build(small_config(), np.random.default_rng(1))
@@ -649,31 +685,42 @@ class TestQueue:
             history.append(column)
 
 
-class PerTapStepper(Stepper):
-    """``Stepper`` with a conv that loops over taps: each tap's 2-D matmul,
-    per row block, added onto a copy of the bias in tap order."""
-
-    def _conv(self, lp, queue, at):
-        filt = lp.weights.data
-        width = filt.shape[0]
-        taps = queue.span(at - width // 2, width)
-        acc = np.broadcast_to(lp.biases.data, (taps.shape[1], filt.shape[2])).copy()
-        for w in range(width):
-            for lo, hi in self._row_blocks:
-                acc[lo:hi] += taps[w, lo:hi] @ filt[w]
-        return acc
+def per_tap_conv_columns(x, lp, crop, blocks):
+    """``_conv_columns`` as a loop: per tap, output column and row block, one
+    2-D [rows_block, in] @ [in, out] matmul added onto a copy of the bias,
+    taps in order."""
+    filt = lp.weights.data
+    width = filt.shape[0]
+    n, off = len(x) - 2 * crop, crop - width // 2
+    acc = np.broadcast_to(lp.biases.data, (n, x.shape[1], filt.shape[2])).copy()
+    for w in range(width):
+        for t in range(n):
+            for lo, hi in blocks:
+                acc[t, lo:hi] += x[off + w + t, lo:hi] @ filt[w]
+    return acc
 
 
 class TestStepperMatchesPerTapOracle:
-    """The batched conv issues the same sgemm calls as a per-tap loop and sums
-    their products in the same order, so unlike the cross-path tests this
-    holds on every BLAS core, not only on the one whose row rounding the
-    window path relies on."""
+    """The conv kernel both scorers share issues the same sgemm calls as a
+    per-tap loop and sums their products in the same order, so swapping the
+    loop in changes no bit of ``Stepper`` or ``forward_window``. Unlike the
+    comparisons with the full ``forward`` this holds on every BLAS core."""
 
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_shipped_configs(self, name):
+    def test_shipped_configs(self, name, monkeypatch):
         model = conditioned_shipped(name)
         rf = model.receptive_field()
+        plan = model._plan
+        # one call per stage conv and skip projection, per Stepper column
+        # pushed and per forward_window call
+        per_pass = sum(len(s.convs) for b in plan.blocks for s in b.stages) + sum(
+            1 for b in plan.blocks if b.skip)
+        calls = [0]
+
+        def counted(x, lp, crop, blocks):
+            calls[0] += 1
+            return per_tap_conv_columns(x, lp, crop, blocks)
+
         for rows in (1, 2, 8, 17, 130):
             rng = np.random.default_rng(rows)
             lengths = [int(n) for n in rng.integers(0, rf.radius + 6, size=rows)]
@@ -682,26 +729,41 @@ class TestStepperMatchesPerTapOracle:
             max_len = max(lengths)
             feats = np.stack([r.features[:max_len] for r in records])
             mask = np.stack([r.mask[:max_len] for r in records])
-            stepper, oracle = Stepper(model, feats, mask), PerTapStepper(model, feats, mask)
-            for i in range(max_len):
-                previous = np.array([y[i - 1] if 0 < i <= len(y) else NOSEQ_CLASS
-                                     for y in labels])
-                np.testing.assert_array_equal(stepper.push(previous), oracle.push(previous))
+            previous = [np.array([y[i - 1] if 0 < i <= len(y) else NOSEQ_CLASS for y in labels])
+                        for i in range(max_len)]
+            windows = (rng.standard_normal((rows, rf.width, 42)).astype(np.float32),
+                       (rng.random((rows, rf.width)) > 0.2).astype(np.float32),
+                       rng.integers(0, NUM_CLASSES, (rows, rf.width)))
+
+            def score():
+                stepper = Stepper(model, feats, mask)
+                return [stepper.push(p) for p in previous], model.forward_window(*windows)
+
+            steps, window = score()
+            with monkeypatch.context() as patch:
+                patch.setattr(chaincnn.model, "_conv_columns", counted)
+                calls[0] = 0
+                oracle_steps, oracle_window = score()
+                assert calls[0] == per_pass * (rf.radius + max_len + 1)
+            np.testing.assert_array_equal(np.stack(steps), np.stack(oracle_steps))
+            np.testing.assert_array_equal(window, oracle_window)
 
     def test_tap_sum_is_in_order(self):
         """numpy reduces a leading axis one slice at a time, in order, which
-        is what keeps the batched conv's sum equal to the per-tap ``+=``."""
+        is what keeps the kernel's [width + 1, n, rows, out] sum equal to the
+        per-tap ``+=``."""
         rng = np.random.default_rng(0)
         for width in (1, 3, 5, 7, 9, 11):
-            for rows in (1, 2, 17, 130):
-                for out in (8, 64, 455):
-                    shape = (width + 1, rows, out)
-                    terms = (rng.standard_normal(shape)
-                             * 10.0 ** rng.uniform(-4, 4, shape)).astype(np.float32)
-                    acc = terms[0].copy()
-                    for term in terms[1:]:
-                        acc += term
-                    np.testing.assert_array_equal(terms.sum(axis=0), acc)
+            for n in (1, 4):
+                for rows in (1, 2, 17, 130):
+                    for out in (8, 64, 455):
+                        shape = (width + 1, n, rows, out)
+                        terms = (rng.standard_normal(shape)
+                                 * 10.0 ** rng.uniform(-4, 4, shape)).astype(np.float32)
+                        acc = terms[0].copy()
+                        for term in terms[1:]:
+                            acc += term
+                        np.testing.assert_array_equal(terms.sum(axis=0), acc)
         # the guard can fail: the same terms summed in another order round apart
         assert not np.array_equal(terms[::-1].sum(axis=0), acc)
 
