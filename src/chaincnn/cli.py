@@ -27,8 +27,7 @@ from .data import (
     compute_pssm_stats,
     labels_to_string,
     load_native,
-    load_npy,
-    records_from_matrix,
+    load_npy_records,
     split_records,
 )
 from .errors import (
@@ -258,7 +257,7 @@ def load_records(data_dir: str | None, stem: str):
         raise DataFormatError(f"data directory {data_dir!r} does not exist")
     path = os.path.join(data_dir, stem + ".npy")
     if os.path.exists(path):
-        records = records_from_matrix(load_npy(path))
+        records = load_npy_records(path)
     elif os.path.exists(path := os.path.join(data_dir, stem + ".txt")):
         records = load_native(path)
     else:

@@ -15,6 +15,7 @@ statistics stored in its own buffers (``apply_pssm_stats``).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ NUM_PSSM = 21
 NUM_CLASSES = 9
 NOSEQ_CLASS = 8
 NUM_REAL_CLASSES = 8  # the structure classes; NOSEQ_CLASS marks padding
+NPY_CHUNK_ROWS = 16  # source rows ``load_npy_records`` decodes at a time
 
 # Residue letter order matches the source one-hot column order; 'X' is
 # the unknown-residue catch-all. Class letters follow the label block's
@@ -113,6 +115,36 @@ class Batch:
 # NPY parsing
 
 
+def _read_npy_header(fh, path: str) -> tuple[tuple[int, ...], np.dtype]:
+    """The shape and dtype of the NPY payload ``fh`` is left at, checked as
+    ``load_npy`` describes, with the payload's size."""
+    try:
+        version = npy_format.read_magic(fh)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad magic at offset 0: {exc}") from exc
+    if version != (1, 0):
+        raise DataFormatError(f"{path}: unsupported format version "
+                              f"{version[0]}.{version[1]} at offset 6")
+    try:
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad header at offset 8: {exc}") from exc
+    if dtype.str not in ("<f4", "<f8"):
+        raise DataFormatError(f"{path}: unsupported dtype {dtype.str!r} at offset 10")
+    if fortran_order:
+        raise DataFormatError(f"{path}: fortran-order payloads are not supported")
+    if any(d < 0 for d in shape):
+        raise DataFormatError(f"{path}: bad shape {shape!r} in header at offset 10")
+    offset = fh.tell()
+    size = os.fstat(fh.fileno()).st_size - offset
+    expected = math.prod(shape) * dtype.itemsize
+    if size != expected:
+        raise DataFormatError(
+            f"{path}: payload is {size} bytes at offset {offset}, expected {expected}"
+        )
+    return shape, dtype
+
+
 def load_npy(path: str) -> np.ndarray:
     """Parse a version 1.0 NPY file into a float32 row-major array.
 
@@ -120,32 +152,23 @@ def load_npy(path: str) -> np.ndarray:
     float64 is converted. Errors name the byte offset of the problem.
     """
     with open(path, "rb") as fh:
-        try:
-            version = npy_format.read_magic(fh)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad magic at offset 0: {exc}") from exc
-        if version != (1, 0):
-            raise DataFormatError(f"{path}: unsupported format version "
-                                  f"{version[0]}.{version[1]} at offset 6")
-        try:
-            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad header at offset 8: {exc}") from exc
-        if dtype.str not in ("<f4", "<f8"):
-            raise DataFormatError(f"{path}: unsupported dtype {dtype.str!r} at offset 10")
-        if fortran_order:
-            raise DataFormatError(f"{path}: fortran-order payloads are not supported")
-        if any(d < 0 for d in shape):
-            raise DataFormatError(f"{path}: bad shape {shape!r} in header at offset 10")
-        offset = fh.tell()
-        payload = fh.read()
-    expected = math.prod(shape) * dtype.itemsize
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes at offset {offset}, expected {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        shape, dtype = _read_npy_header(fh, path)
+        arr = np.frombuffer(fh.read(), dtype=dtype).reshape(shape)
     return np.ascontiguousarray(arr, dtype=np.float32)
+
+
+def load_npy_records(path: str) -> list[ProteinRecord]:
+    """``records_from_matrix(load_npy(path))``, read ``NPY_CHUNK_ROWS``
+    source rows (2.5 MB as float32) at a time, so the whole payload is
+    never held beside the records."""
+    with open(path, "rb") as fh:
+        shape, dtype = _read_npy_header(fh, path)
+        records = []
+        for first in range(0, _matrix_records(shape), NPY_CHUNK_ROWS):
+            chunk = fh.read(NPY_CHUNK_ROWS * SEQ_LEN * SOURCE_COLUMNS * dtype.itemsize)
+            rows = np.frombuffer(chunk, dtype=dtype).astype(np.float32, copy=False)
+            records += records_from_matrix(rows.reshape(-1, SEQ_LEN, SOURCE_COLUMNS), first)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +217,21 @@ def encode_record(rec: ProteinRecord) -> np.ndarray:
     return row
 
 
-def records_from_matrix(mat: np.ndarray) -> list[ProteinRecord]:
-    """Decode an [n, 39900] (or [n, 700, 57]) matrix into records."""
-    if mat.ndim == 2:
-        if mat.shape[1] != SEQ_LEN * SOURCE_COLUMNS:
-            raise DataFormatError(f"matrix has {mat.shape[1]} columns, expected {SEQ_LEN * SOURCE_COLUMNS}")
-        mat = mat.reshape(-1, SEQ_LEN, SOURCE_COLUMNS)
-    if mat.ndim != 3 or mat.shape[1:] != (SEQ_LEN, SOURCE_COLUMNS):
-        raise DataFormatError(f"matrix shape {mat.shape} is not [n, 39900] or [n, 700, 57]")
-    return [decode_record(mat[i], rid=f"p{i:05d}") for i in range(mat.shape[0])]
+def _matrix_records(shape) -> int:
+    """The number of records in a source matrix of ``shape``: [n, 39900]
+    or [n, 700, 57]; any other shape is a data error."""
+    if len(shape) == 2 and shape[1] != SEQ_LEN * SOURCE_COLUMNS:
+        raise DataFormatError(f"matrix has {shape[1]} columns, expected {SEQ_LEN * SOURCE_COLUMNS}")
+    if tuple(shape[1:]) not in ((SEQ_LEN * SOURCE_COLUMNS,), (SEQ_LEN, SOURCE_COLUMNS)):
+        raise DataFormatError(f"matrix shape {tuple(shape)} is not [n, 39900] or [n, 700, 57]")
+    return shape[0]
+
+
+def records_from_matrix(mat: np.ndarray, first: int = 0) -> list[ProteinRecord]:
+    """Decode an [n, 39900] (or [n, 700, 57]) matrix into records named
+    ``p{first + i:05d}``: ``first`` is the index of row 0 in its file."""
+    mat = mat.reshape(_matrix_records(mat.shape), SEQ_LEN, SOURCE_COLUMNS)
+    return [decode_record(mat[i], rid=f"p{first + i:05d}") for i in range(mat.shape[0])]
 
 
 # ---------------------------------------------------------------------------

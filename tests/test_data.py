@@ -1,6 +1,7 @@
 """Data layer: NPY parsing, record decoding, PSSM statistics, batching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,83 @@ class TestDecodeRecord:
     def test_wrong_matrix_shape_is_a_data_error(self, shape):
         with pytest.raises(DataFormatError, match="expected 39900|not \\[n, 39900\\]"):
             D.records_from_matrix(np.zeros(shape, dtype=np.float32))
+
+
+class TestLoadNpyRecords:
+    """``load_npy_records`` decodes a corpus file chunk by chunk into the
+    records ``records_from_matrix(load_npy(path))`` gives."""
+
+    @staticmethod
+    def _corpus(rng, n):
+        rows = []
+        for i in range(n):
+            length = int(rng.integers(0, 40))
+            rows.append(source_row(rng.integers(0, 21, size=length), rng.integers(0, 8, size=length),
+                                   pssm=rng.standard_normal((length, 21)).astype(np.float32),
+                                   junk_seed=i))
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("layout", ("flat", "rows", "float64"))
+    def test_matches_the_whole_matrix_decode(self, tmp_path, rng, layout):
+        n = 2 * D.NPY_CHUNK_ROWS + 3  # two full chunks and a partial one
+        mat = self._corpus(rng, n)
+        if layout == "flat":
+            mat = mat.reshape(n, -1)
+        elif layout == "float64":
+            mat = mat.astype(np.float64) + rng.standard_normal(mat.shape) * 1e-3
+        path = str(tmp_path / "corpus.npy")
+        np.save(path, mat)
+        want = D.records_from_matrix(D.load_npy(path))
+        got = D.load_npy_records(path)
+        assert [r.id for r in got] == [r.id for r in want] == [f"p{i:05d}" for i in range(n)]
+        for a, b in zip(got, want):
+            assert a.length == b.length
+            for field in ("features", "labels", "mask"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+
+    def test_records_of_a_later_chunk_keep_their_file_index(self, tmp_path, rng):
+        mat = self._corpus(rng, D.NPY_CHUNK_ROWS + 3)
+        mat[D.NPY_CHUNK_ROWS + 2, 5, 40] = np.nan
+        path = str(tmp_path / "corpus.npy")
+        np.save(path, mat)
+        bad = f"p{D.NPY_CHUNK_ROWS + 2:05d}"
+        with pytest.raises(MalformedRecordError, match=f"record {bad}: non-finite value"):
+            D.load_npy_records(path)
+        rows = D.records_from_matrix(mat[D.NPY_CHUNK_ROWS:D.NPY_CHUNK_ROWS + 2], first=D.NPY_CHUNK_ROWS)
+        assert [r.id for r in rows] == [f"p{D.NPY_CHUNK_ROWS + i:05d}" for i in range(2)]
+
+    @pytest.mark.parametrize("shape", ((2, 39200), (5,), (2, 700, 56)))
+    def test_wrong_matrix_shape_is_a_data_error(self, tmp_path, shape):
+        path = str(tmp_path / "corpus.npy")
+        np.save(path, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(DataFormatError, match="expected 39900|not \\[n, 39900\\]"):
+            D.load_npy_records(path)
+
+    def test_truncated_payload_is_a_data_error(self, tmp_path, rng):
+        path = tmp_path / "corpus.npy"
+        np.save(path, self._corpus(rng, 3))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataFormatError, match="payload is .* at offset"):
+            D.load_npy_records(str(path))
+
+    def test_corpus_loading_never_holds_the_whole_payload(self, tmp_path, rng):
+        """``cli.load_records`` holds the records plus one chunk, not the
+        payload beside them: the traced peak above the records' own bytes
+        stays under half the payload (it was the whole payload)."""
+        from chaincnn.cli import load_records
+
+        mat = self._corpus(rng, 64)
+        np.save(tmp_path / "corpus.npy", mat)
+        tracemalloc.start()
+        try:
+            records = load_records(str(tmp_path), "corpus")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(r.features.nbytes + r.labels.nbytes + r.mask.nbytes for r in records)
+        assert peak - held < mat.nbytes / 2
 
 
 class TestNormalizePssm:
