@@ -55,9 +55,6 @@ from .training import (
     write_atomic,
 )
 
-SEED_ENV_VAR = "CHAINCNN_SEED"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
@@ -174,13 +171,7 @@ def build_run_config(values: dict[str, str], seed_override: int | None = None) -
     model = _from_values(ModelConfig, values)
     model.validate()
     training = _from_values(TrainConfig, values)
-    # seed order: --seed, the file's seed, $CHAINCNN_SEED, the field default;
-    # a malformed file seed has already failed above, even under --seed
-    if seed_override is None and "seed" not in values and os.environ.get(SEED_ENV_VAR):
-        try:
-            seed_override = int(os.environ[SEED_ENV_VAR])
-        except ValueError as err:
-            raise ConfigError(f"{SEED_ENV_VAR}: {err}") from err
+    # --seed beats the file's seed, which has failed above if malformed
     if seed_override is not None:
         training = dataclasses.replace(training, seed=seed_override)
     training.validate()
@@ -308,11 +299,18 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
 # commands
 
 
-def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
-    out_dir = os.path.dirname(out_path) or "."
-    if not os.path.isdir(out_dir):  # before training, which can take hours
+def _check_output(path: str) -> None:
+    """Fail before any work if ``path`` is a directory or its directory is missing."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
         raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
-    split = prepare_split(run, data_dir)
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output {path!r} is a directory")
+
+
+def _train_and_save(run: RunConfig, out_path: str) -> int:
+    _check_output(out_path)  # before training, which can take hours
+    split = prepare_split(run, run.data_dir)
     if not split.train:
         raise ConfigError(f"n_validation = {run.n_validation} leaves no training records "
                           f"in a corpus of {len(split.validation)}")
@@ -322,8 +320,7 @@ def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
     model.buffers["input_norm.pssm_std"].data[...] = std
     ckpt = train(model, split, run.training, log=print)
     save_checkpoint(ckpt, out_path)
-    sidecar = render_config(dataclasses.replace(run, data_dir=data_dir))
-    write_atomic(out_path + ".cfg", sidecar.encode("utf-8"))
+    write_atomic(out_path + ".cfg", render_config(run).encode("utf-8"))
     print(f"wrote {out_path} (iteration {ckpt.iteration}), "
           f"best validation q8 {ckpt.best_validation_q8:.6f}")
     return 0
@@ -331,7 +328,7 @@ def _train_and_save(run: RunConfig, data_dir: str | None, out_path: str) -> int:
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
-    return _train_and_save(run, args.data or run.data_dir, args.out)
+    return _train_and_save(dataclasses.replace(run, data_dir=args.data or run.data_dir), args.out)
 
 
 def cmd_eval(args) -> int:
@@ -358,12 +355,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output(args.output)
     ensemble, _ = _load_ensemble(args.ckpt)
     records = load_native(args.input)
     preds = _decode_all(ensemble, records, args.beam_width)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for record, pred in zip(records, preds):
-            fh.write(f"{record.id}\t{labels_to_string(pred)}\n")
+    lines = (f"{record.id}\t{labels_to_string(pred)}\n" for record, pred in zip(records, preds))
+    write_atomic(args.output, "".join(lines).encode("utf-8"))
     print(f"wrote {len(records)} predictions to {args.output}")
     return 0
 
@@ -373,7 +370,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"ablation row must be in 1..9, got {args.row}")
     run = load_run_config(f"ablation_row{args.row}", args.set, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    return _train_and_save(run, args.data, os.path.join(args.out, f"row{args.row}.ckpt"))
+    return _train_and_save(dataclasses.replace(run, data_dir=args.data),
+                           os.path.join(args.out, f"row{args.row}.ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="config path or a shipped config name (see README)")
     p.add_argument("--data", help="directory with corpus.npy/corpus.txt")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, help=f"overrides config and ${SEED_ENV_VAR}")
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
 

@@ -44,11 +44,8 @@ class Ensemble:
         if not self.members:
             raise ParameterError("an ensemble needs at least one member")
         first = self.members[0].config
-        for m in self.members[1:]:
-            if m.config.conditioned != first.conditioned:
-                raise ModeError("ensemble members disagree on conditioning mode")
-            if m.config != first:
-                raise ModeError("ensemble members must share one architecture")
+        if any(m.config != first for m in self.members[1:]):  # conditioning mode included
+            raise ModeError("ensemble members must share one architecture")
 
     @property
     def conditioned(self) -> bool:
@@ -262,8 +259,7 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
             for c in range(NUM_REAL_CLASSES)
         ]
         beam = _best_first(candidates)[:beam_width]
-    best = _best_first(beam)[0]
-    return np.array(best[1], dtype=np.int64)
+    return np.array(beam[0][1], dtype=np.int64)
 
 
 def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float:
@@ -271,7 +267,7 @@ def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float
 
     Teacher-forces ``labels`` through the conditioning channels step by step,
     summing per-position scores left to right in float64. Useful for checking
-    beam results against independently rescored hypotheses.
+    beam results against independently rescored hypotheses; labels lie in [0, 8).
     """
     members = _members(model_or_ensemble)
     labels = np.asarray(labels, dtype=np.int64)
@@ -279,6 +275,8 @@ def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float
         raise ParameterError(
             f"sequence covers {labels.shape[0]} of {record.length} positions"
         )
+    if labels.size and (labels.min() < 0 or labels.max() >= NUM_REAL_CLASSES):
+        raise ParameterError("labels outside [0, 8) cannot be scored")
     total = 0.0
     for i in range(record.length):
         total += float(step_scores(members, [(record, labels)], i)[0, labels[i]])

@@ -159,11 +159,10 @@ class TestShippedConfigs:
         assert shipped_config_names() == [f"ablation_row{i}" for i in range(1, 10)] + ["chained"]
 
     @pytest.mark.parametrize("row", range(1, 10))
-    def test_rows_match_ladder(self, row, monkeypatch):
+    def test_rows_match_ladder(self, row):
         # every row trains unconditioned with its family's learning-rate
         # schedule and the paper's defaults for everything else; row 1, the
         # fully connected baseline, is the one without blocks
-        monkeypatch.delenv("CHAINCNN_SEED", raising=False)
         run = load_run_config(f"ablation_row{row}", [])
         assert (run.model.blocks == ()) == (row == 1)
         assert not run.model.conditioned
@@ -174,8 +173,8 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", shipped_config_names())
     def test_states_every_key(self, name):
         # no row leans on a code default. ``data`` is left to --data or the
-        # sidecar, and ``seed`` to --seed or $CHAINCNN_SEED, which a file
-        # seed would shadow
+        # sidecar, and ``seed`` to --seed or --set seed=, so that the ladder
+        # trains at seed 0 unless the command line names another
         values = parse_config_text(read_config_source(name)[0])
         assert set(values) == _ALL_KEYS - {"data", "seed"}
 
@@ -193,22 +192,24 @@ class TestSeedResolution:
     def test_flag_beats_file(self, tiny_cfg):
         assert load_run_config(tiny_cfg, ["seed=7"], seed_override=11).training.seed == 11
 
-    def test_file_beats_env(self, tiny_cfg, monkeypatch):
-        monkeypatch.setenv("CHAINCNN_SEED", "21")
-        assert load_run_config(tiny_cfg, ["seed=7"]).training.seed == 7
-
-    def test_env_fallback(self, tiny_cfg, monkeypatch):
-        monkeypatch.setenv("CHAINCNN_SEED", "21")
-        assert load_run_config(tiny_cfg, []).training.seed == 21
-
-    def test_default_zero(self, tiny_cfg, monkeypatch):
-        monkeypatch.delenv("CHAINCNN_SEED", raising=False)
+    def test_default_zero(self, tiny_cfg):
         assert load_run_config(tiny_cfg, []).training.seed == 0
 
-    def test_bad_env_value(self, tiny_cfg, monkeypatch):
-        monkeypatch.setenv("CHAINCNN_SEED", "lots")
-        with pytest.raises(ConfigError):
-            load_run_config(tiny_cfg, [])
+    def test_environment_changes_no_output(self, tmp_path, tiny_cfg, data_dir, monkeypatch):
+        # a run that names no seed trains at seed 0 whatever the shell
+        # exports, CHAINCNN_SEED included
+        outs = []
+        for env_seed in ("21", None):
+            if env_seed is None:
+                monkeypatch.delenv("CHAINCNN_SEED", raising=False)
+            else:
+                monkeypatch.setenv("CHAINCNN_SEED", env_seed)
+            out = tmp_path / f"env{env_seed}.ckpt"
+            assert main(["train", "--config", tiny_cfg, "--data", data_dir,
+                         "--out", str(out)]) == 0
+            outs.append((out.read_bytes(), Path(f"{out}.cfg").read_bytes()))
+        assert outs[0] == outs[1]
+        assert load_run_config(f"{out}.cfg", []).training.seed == 0
 
     def test_bad_seed_fails_under_flag(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -301,6 +302,18 @@ class TestTrainCommand:
         assert code == 2
         want = f"error: output directory {str(missing)!r} does not exist\n"
         assert capsys.readouterr().err == want
+
+    def test_out_is_a_directory_exit_2(self, tmp_path, tiny_cfg, data_dir, monkeypatch,
+                                       capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        out = tmp_path / "m.ckpt"
+        out.mkdir()
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output {str(out)!r} is a directory\n"
 
     def test_failed_sidecar_write_keeps_previous_exit_2(self, tmp_path, tiny_cfg, data_dir,
                                                         monkeypatch, capsys):
@@ -573,6 +586,49 @@ class TestPredictCommand:
             "at position 6, PSSM column 7\n")
         assert not dest.exists()
 
+    @pytest.mark.parametrize("where", ("missing directory", "directory"))
+    def test_bad_output_path_exit_2_before_decoding(self, tmp_path, tiny_cfg, data_dir,
+                                                    where, monkeypatch, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        fixture = str(tmp_path / "in.txt")
+        save_native(rule_corpus(n=2, length=10, seed=4), fixture)
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before checking the output path")
+
+        monkeypatch.setattr(chaincnn.cli, "beam_search", no_decoding)
+        monkeypatch.setattr(chaincnn.cli, "decode_independent", no_decoding)
+        if where == "directory":
+            dest = tmp_path / "preds"
+            dest.mkdir()
+            want = f"error: output {str(dest)!r} is a directory\n"
+        else:
+            dest = tmp_path / "missing" / "preds.txt"
+            want = f"error: output directory {str(dest.parent)!r} does not exist\n"
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", out, "--input", fixture,
+                     "--output", str(dest)]) == 2
+        assert capsys.readouterr().err == want
+
+    def test_failed_write_keeps_previous_output(self, tmp_path, tiny_cfg, data_dir,
+                                                monkeypatch, capsys):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        fixture = str(tmp_path / "in.txt")
+        save_native(rule_corpus(n=2, length=10, seed=4), fixture)
+        dest = tmp_path / "preds.txt"
+        dest.write_text("previous\n")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", out, "--input", fixture,
+                     "--output", str(dest)]) == 2
+        assert "simulated" in capsys.readouterr().err
+        assert dest.read_text() == "previous\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
     def test_non_utf8_input_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
         fixture = str(tmp_path / "in.txt")
@@ -603,10 +659,9 @@ class TestAblateCommand:
         assert run.model == shipped_model("ablation_row2")
         assert run.training.max_iterations == 10
 
-    def test_same_files_as_train_config(self, tmp_path, data_dir, monkeypatch, capsys):
-        # ablate --row N is train --config ablation_rowN, $CHAINCNN_SEED included
-        monkeypatch.setenv("CHAINCNN_SEED", "7")
-        sets = ["--set", "max_iterations=6", "--set", "eval_every=3",
+    def test_same_files_as_train_config(self, tmp_path, data_dir, capsys):
+        # ablate --row N is train --config ablation_rowN, --seed included
+        sets = ["--seed", "7", "--set", "max_iterations=6", "--set", "eval_every=3",
                 "--set", "batch_size=4", "--set", "n_validation=2"]
         assert main(["ablate", "--row", "2", "--data", data_dir,
                      "--out", str(tmp_path / "runs"), *sets]) == 0
@@ -617,6 +672,19 @@ class TestAblateCommand:
             ablated = (tmp_path / "runs" / f"row2.ckpt{suffix}").read_bytes()
             assert ablated == Path(out + suffix).read_bytes()
         assert load_run_config(out + ".cfg", []).training.seed == 7
+
+    def test_checkpoint_path_is_a_directory_exit_2(self, tmp_path, data_dir, monkeypatch,
+                                                   capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        out = tmp_path / "runs" / "row2.ckpt"
+        out.mkdir(parents=True)
+        code = main(["ablate", "--row", "2", "--data", data_dir,
+                     "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output {str(out)!r} is a directory\n"
 
 
 class TestConditionedPipeline:

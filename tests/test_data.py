@@ -267,11 +267,11 @@ class TestNormalizePssm:
         run = build_run_config({
             "fc_window": "3", "fc_layers": "1", "fc_width": "8", "lr_init": "0.0004",
             "lr_decay_factor": "0.5", "lr_decay_every": "35000", "max_iterations": "2",
-            "batch_size": "2", "eval_every": "1", "n_validation": "2",
+            "batch_size": "2", "eval_every": "1", "n_validation": "2", "data": str(tmp_path),
         })
         out = str(tmp_path / "m.ckpt")
-        assert _train_and_save(run, str(tmp_path), out) == 0
-        split = prepare_split(run, str(tmp_path))
+        assert _train_and_save(run, out) == 0
+        split = prepare_split(run, run.data_dir)
         cols = np.concatenate([r.features[: r.length, 21:] for r in split.train])
         mean = cols.astype(np.float64).mean(axis=0).astype(np.float32)
         std = cols.astype(np.float64).std(axis=0).astype(np.float32)

@@ -277,6 +277,13 @@ class TestBeamSearch:
             abs=1e-5 * 3,
         )
 
+    @pytest.mark.parametrize("label", (-1, 8, 9))
+    def test_out_of_range_label_rejected(self, cond_model, label):
+        # -1 would score the last class, and 8 or 9 index past the 8 scores
+        rec = rule_corpus(n=1, length=4, seed=3)[0]
+        with pytest.raises(ParameterError, match=r"\[0, 8\)"):
+            sequence_log_prob(cond_model, rec, [0, 1, 2, label])
+
 
 class TestBatchRowStability:
     """Per-row results of batched windows must not depend on batch composition.
