@@ -309,7 +309,8 @@ def _check_output(path: str) -> None:
 
 
 def _train_and_save(run: RunConfig, out_path: str) -> int:
-    _check_output(out_path)  # before training, which can take hours
+    for path in (out_path, out_path + ".cfg"):  # before training, which can take hours
+        _check_output(path)
     split = prepare_split(run, run.data_dir)
     if not split.train:
         raise ConfigError(f"n_validation = {run.n_validation} leaves no training records "

@@ -1,19 +1,20 @@
 """Decoding: independent argmax, width-8 beam search, and log-prob ensembles.
 
-Beam search and rescoring score position i through ``step_scores``: each
-(record, label context) row becomes the receptive-field window around i,
-and ``Model.forward_window`` scores the stacked windows. Nothing outside
-the window can reach the center logit, so this equals the full forward at
-i. ``forward_window`` computes only that center: the conv trunk runs as a
+Beam search scores position i through ``step_scores``: each (record,
+label context) row becomes the receptive-field window around i, and
+``Model.forward_window`` scores the stacked windows. Nothing outside the
+window can reach the center logit, so this equals the full forward at i.
+``forward_window`` computes only that center: the conv trunk runs as a
 valid-convolution pyramid that narrows to the fc_window columns the head
 reads, and the head runs once per window. For the shipped configs, at
 every batch size, the tests check the scores bit-identical to the full
 forward's (``model._row_blocks`` says why); other shapes can differ in the
 last bits.
-Scheduled sampling does not score here: ``model.Stepper`` steps its whole
-batch with one new column per layer per position, and the tests check its
-scores equal to this window path's. Ensembles average the members' log
-probabilities per class.
+Rescoring (``sequence_log_prob``) and scheduled sampling do not score
+here: ``model.Stepper`` steps a whole batch with one new column per layer
+per position, and the tests check its scores equal to this window path's,
+so a rescored sequence totals exactly what beam search accumulated for it.
+Ensembles average the members' log probabilities per class.
 
 Records decode independently, so ``map_records`` decodes a list of them on
 the cores BLAS leaves idle (``decode_workers``), one record per thread at a
@@ -28,7 +29,7 @@ import numpy as np
 
 from .data import NOSEQ_CLASS, NUM_REAL_CLASSES, ProteinRecord, make_batch
 from .errors import ModeError, ParameterError
-from .model import Model
+from .model import Model, Stepper
 from .tensor import log_softmax
 
 DEFAULT_BEAM_WIDTH = 8
@@ -198,9 +199,9 @@ def step_scores(members, rows, i: int) -> np.ndarray:
     Builds each row's receptive-field window and conditioning context,
     stacks them, and scores the whole batch with one ``ensemble_step_score``
     call, so every member runs one window forward per position. Returns
-    [len(rows), 8] float64. Beam search and rescoring score through here;
-    it is also the reference that ``model.Stepper``, which scores scheduled
-    sampling, is tested against.
+    [len(rows), 8] float64. Beam search scores through here; it is also the
+    reference that ``model.Stepper``, which scores scheduled sampling and
+    rescoring, is tested against.
     """
     rf = members[0].receptive_field()
     feats, masks, contexts = [], [], []
@@ -265,9 +266,12 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
 def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float:
     """Accumulated log probability of a complete label sequence.
 
-    Teacher-forces ``labels`` through the conditioning channels step by step,
-    summing per-position scores left to right in float64. Useful for checking
-    beam results against independently rescored hypotheses; labels lie in [0, 8).
+    One ``model.Stepper`` per member runs over the record's positions,
+    teacher-forced on ``labels`` (position i is conditioned on label i-1,
+    the no-seq label at i = 0). The members' scores are averaged per
+    position as beam search averages them, and the scores of ``labels``
+    are summed left to right in float64, so a beam result rescores to
+    exactly the total beam search accumulated. Labels lie in [0, 8).
     """
     members = _members(model_or_ensemble)
     labels = np.asarray(labels, dtype=np.int64)
@@ -277,7 +281,11 @@ def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float
         )
     if labels.size and (labels.min() < 0 or labels.max() >= NUM_REAL_CLASSES):
         raise ParameterError("labels outside [0, 8) cannot be scored")
+    n = record.length
+    steppers = [Stepper(m, record.features[None, :n], record.mask[None, :n]) for m in members]
+    context = np.concatenate([[NOSEQ_CLASS], labels[:-1]])
     total = 0.0
-    for i in range(record.length):
-        total += float(step_scores(members, [(record, labels)], i)[0, labels[i]])
+    for i in range(n):
+        scores = _mean_over_members([s.push(context[i : i + 1]) for s in steppers])
+        total += float(scores[0, labels[i]])
     return total

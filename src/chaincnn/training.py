@@ -36,7 +36,9 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     log_every: int = 100
-    # optional early exit once validation Q8 reaches a target (None = off)
+    # optional early exit once ``evaluate_q8`` reaches a target (None = off);
+    # for a conditioned model that is teacher-forced Q8, which can read high
+    # long before beam-search Q8 does
     target_q8: float | None = None
 
     def validate(self) -> None:
@@ -263,11 +265,11 @@ def load_checkpoint(path) -> Checkpoint:
 def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
     """Copy checkpoint values into a built model (and optimizer) in place.
 
-    The checkpoint's tensor names must match the model's exactly, and its
-    PSSM statistics must be usable, because every forward standardizes its
-    input with them: ``input_norm.pssm_mean`` finite, ``input_norm.pssm_std``
-    finite and positive. Adam moments are restored when ``adam`` is given,
-    with its step counter set to the checkpoint iteration.
+    The checkpoint's tensor names must match the model's exactly, every
+    tensor bound to the model must have its shape and only finite entries,
+    and ``input_norm.pssm_std`` must be finite and positive, because every
+    forward divides its input by it. Adam moments are restored when
+    ``adam`` is given, with its step counter set to the checkpoint iteration.
     """
     stored = {n for n in ckpt.tensors if not n.startswith(("adam.m.", "adam.v."))}
     expected = model.named_tensors()
@@ -277,8 +279,6 @@ def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
         raise CheckpointError(
             f"parameter names do not match the model: missing {missing}, unexpected {surplus}"
         )
-    if not np.isfinite(ckpt.tensors["input_norm.pssm_mean"]).all():
-        raise CheckpointError("tensor 'input_norm.pssm_mean' has a non-finite entry")
     std = ckpt.tensors["input_norm.pssm_std"]
     if not (np.isfinite(std) & (std > 0)).all():
         raise CheckpointError("tensor 'input_norm.pssm_std' has an entry that is not "
@@ -289,6 +289,8 @@ def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
             raise CheckpointError(
                 f"tensor {name!r} has shape {arr.shape}, model expects {tensor.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} has a non-finite entry")
         np.copyto(tensor.data, arr)
     if adam is not None:
         for name, buf in adam.first_moment.items():

@@ -315,6 +315,20 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: output {str(out)!r} is a directory\n"
 
+    def test_sidecar_is_a_directory_exit_2(self, tmp_path, tiny_cfg, data_dir, monkeypatch,
+                                           capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the sidecar path")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        out = tmp_path / "m.ckpt"
+        sidecar = tmp_path / "m.ckpt.cfg"
+        sidecar.mkdir()
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output {str(sidecar)!r} is a directory\n"
+        assert not out.exists()
+
     def test_failed_sidecar_write_keeps_previous_exit_2(self, tmp_path, tiny_cfg, data_dir,
                                                         monkeypatch, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)
@@ -462,6 +476,18 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
         assert "input_norm.pssm_std" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ("output.biases", "block1.multi0.weights"))
+    def test_non_finite_weight_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys, name):
+        out = run_train(tmp_path, tiny_cfg, data_dir)
+        ckpt = load_checkpoint(out)
+        ckpt.tensors[name].flat[0] = np.nan
+        save_checkpoint(ckpt, out)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tensor '{name}' has a non-finite entry\n"
 
     def test_ensemble_ignores_ckpt_order(self, tmp_path, tiny_cfg, data_dir, capsys):
         """Members trained on corpora with different PSSM statistics each

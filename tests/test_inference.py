@@ -26,6 +26,7 @@ from chaincnn.inference import (
     extract_window,
     map_records,
     sequence_log_prob,
+    step_scores,
 )
 from chaincnn.model import Model, build
 from chaincnn.tensor import log_softmax
@@ -311,20 +312,29 @@ class TestBatchRowStability:
         np.testing.assert_array_equal(subset, full[:3])
 
 
+def window_path_log_prob(members, record, labels):
+    """Rescoring on the window path, as beam search accumulates its scores:
+    one ``step_scores`` call per position, summed left to right in float64."""
+    total = 0.0
+    for i in range(record.length):
+        total += float(step_scores(members, [(record, labels)], i)[0, labels[i]])
+    return total
+
+
 class TestDecodersMatchOracle:
-    """Beam search and rescoring give bit-identical results whether windows
-    are scored by ``forward_window`` or by the full forward over the window,
-    and scheduled sampling's stepper mixes the same contexts as the
-    window-path reference loop scored by that full forward."""
+    """Beam search gives bit-identical results whether windows are scored
+    by ``forward_window`` or by the full forward over the window, and
+    rescoring and scheduled sampling, which step ``model.Stepper``, match
+    the window-path reference loops scored by that full forward."""
 
     def test_patched_oracle_changes_nothing(self, monkeypatch):
         chained = conditioned_shipped("chained")
         ensemble = Ensemble((chained, randomized_stats_model(chained.config, 42)))
         records = rule_corpus(n=2, length=14, seed=21) + rule_corpus(n=1, length=9, seed=22)
 
-        def decode(sampling_pass):
+        def decode(rescore, sampling_pass):
             labels = [beam_search(ensemble, r) for r in records]
-            log_probs = [sequence_log_prob(ensemble, r, y) for r, y in zip(records, labels)]
+            log_probs = [rescore(r, y) for r, y in zip(records, labels)]
             contexts = sampling_pass(np.random.default_rng(5))
             return labels, log_probs, contexts
 
@@ -332,12 +342,52 @@ class TestDecodersMatchOracle:
             mixed = scheduled_sampling_pass(chained, batch_of(records), 0.7, rng)
             return [row[: r.length] for row, r in zip(mixed, records)]
 
-        fast = decode(stepped)
+        fast = decode(lambda r, y: sequence_log_prob(ensemble, r, y), stepped)
         monkeypatch.setattr(Model, "forward_window", window_oracle)
-        slow = decode(lambda rng: window_sampling_pass(chained, records, 0.7, rng))
+        slow = decode(lambda r, y: window_path_log_prob(ensemble.members, r, y),
+                      lambda rng: window_sampling_pass(chained, records, 0.7, rng))
         for a, b in zip(fast[0] + fast[2], slow[0] + slow[2]):
             np.testing.assert_array_equal(a, b)
         assert fast[1] == slow[1]
+
+
+class TestRescoringMatchesWindowPath:
+    """``sequence_log_prob`` steps ``model.Stepper``, which runs the window
+    path's conv kernel on the same row blocks, so its totals equal the
+    window path's bit for bit on every BLAS core."""
+
+    @pytest.mark.parametrize("n_members", (1, 2))
+    @pytest.mark.parametrize("name", ("small", "chained"))
+    def test_totals_equal_the_window_path(self, name, n_members):
+        if name == "small":
+            config = small_config(conditioned=True)
+        else:
+            config = conditioned_shipped("chained").config
+        members = tuple(randomized_stats_model(config, 30 + k) for k in range(n_members))
+        ensemble = Ensemble(members)
+        rng = np.random.default_rng(31)
+        for length in (0, 1, 4, 130):
+            for record in rule_corpus(n=2, length=length, seed=length):
+                labels = rng.integers(0, 8, size=length)
+                assert (sequence_log_prob(ensemble, record, labels)
+                        == window_path_log_prob(members, record, labels))
+
+    def test_scores_without_the_window_path(self, monkeypatch, cond_model):
+        record = rule_corpus(n=1, length=9, seed=32)[0]
+        want = window_path_log_prob((cond_model,), record, record.labels[:9])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rescoring ran the window path")
+
+        monkeypatch.setattr(Model, "forward_window", refuse)
+        monkeypatch.setattr(inference, "step_scores", refuse)
+        assert sequence_log_prob(cond_model, record, record.labels[:9]) == want
+
+    @pytest.mark.parametrize("length", (0, 4))
+    def test_unconditioned_model_rejected(self, plain_model, length):
+        record = rule_corpus(n=1, length=length, seed=33)[0]
+        with pytest.raises(ModeError):
+            sequence_log_prob(plain_model, record, record.labels[:length])
 
 
 class TestEnsembleValidation:

@@ -447,6 +447,16 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=name):
             bind_checkpoint(ckpt, model)
 
+    @pytest.mark.parametrize("name", (
+        "block1.multi0.weights", "block1.multi_norm.running_var", "output.biases"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_tensor_rejected(self, name, value):
+        model, adam = self._model_and_adam()
+        ckpt = checkpoint_from_model(model, adam)
+        ckpt.tensors[name].flat[1] = value
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' has a non-finite entry"):
+            bind_checkpoint(ckpt, model)
+
     def test_scalar_and_empty_checkpoints(self, tmp_path):
         ckpt = Checkpoint({"s": np.array(2.5, dtype=np.float32)}, 1, 0.0)
         save_checkpoint(ckpt, tmp_path / "s.ckpt")
