@@ -32,6 +32,7 @@ from .data import (
 )
 from .errors import (
     ChainCnnError,
+    CheckpointError,
     ConfigError,
     DataFormatError,
     NonFiniteError,
@@ -279,7 +280,10 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
             raise ConfigError(f"missing config sidecar {sidecar!r}")
         run = load_run_config(sidecar, [])
         model = build(run.model, np.random.default_rng(0))
-        bind_checkpoint(ckpt, model)
+        try:
+            bind_checkpoint(ckpt, model)
+        except CheckpointError as err:
+            raise CheckpointError(f"{path}: {err}") from err
         models.append(model)
         runs.append(run)
     return Ensemble(tuple(models)), runs

@@ -25,7 +25,6 @@ a record's padded tail can never influence a masked-in position.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -274,14 +273,18 @@ class Model:
         position, one-hot encoded into the conditioning channels as they
         are. ``label_context`` builds it from a label sequence.
 
-        In infer mode (``train`` false) no autodiff graph is recorded
-        (``tensor.no_graph``): the logits have no parents, and each
-        intermediate is freed as soon as the next layer replaces it.
+        In infer mode (``train`` false) the layers run on gradient-free views
+        (``_layer``), so no autodiff graph is recorded: the logits have no
+        parents, and each intermediate is freed once the next layer replaces it.
         """
         features = self._with_context(np.asarray(features, dtype=np.float32), context)
-        with contextlib.nullcontext() if train else T.no_graph():
-            h = self._trunk(T.Tensor(features), mask, train, rng)
-            return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
+        h = self._trunk(T.Tensor(features), mask, train, rng)
+        return self._head(T.gather_windows(h, self.config.fc_window), train, rng)
+
+    def _layer(self, name: str, train: bool) -> T.LayerParams:
+        """Layer ``name``, as a gradient-free view (``LayerParams.frozen``) unless ``train``."""
+        lp = self.layers[name]
+        return lp if train else lp.frozen()
 
     def _trunk(self, h: T.Tensor, mask, train: bool, rng) -> T.Tensor:
         """The conv blocks over [batch, length, channels] input; every layer
@@ -289,11 +292,11 @@ class Model:
         drop = self.config.dropout_rate
 
         def conv(name, x):
-            lp = self.layers[name]
+            lp = self._layer(name, train)
             return T.conv1d(x, lp.weights, lp.biases)
 
         def norm_relu(x, name):
-            x = T.batch_norm(x, mask, self.layers[name], train)
+            x = T.batch_norm(x, mask, self._layer(name, train), train)
             return T.apply_mask(T.dropout(T.relu(x), drop, train, rng), mask)
 
         mask = np.asarray(mask, dtype=np.float32)
@@ -310,7 +313,7 @@ class Model:
     def _head(self, h: T.Tensor, train: bool, rng) -> T.Tensor:
         """FC stack and output layer over gathered fc_window features."""
         drop = self.config.dropout_rate
-        *fcs, out = self.dense_layers()
+        *fcs, out = (self._layer(name, train) for name in self._plan.head)
         for lp in fcs:
             h = T.dropout(T.relu(T.dense(h, lp.weights, lp.biases)), drop, train, rng)
         return T.dense(h, out.weights, out.biases)
@@ -384,15 +387,13 @@ class Model:
         """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
         fc_window trunk columns, flattened window-position major, run in
         ``_row_blocks`` of 16 to 128 rows, fewer than 16 zero-padded.
-        ``forward_window`` and ``Stepper`` both score here, with no graph.
+        ``forward_window`` and ``Stepper`` both score here, in infer mode: no graph.
         """
         n = rows.shape[0]
         blocks = _row_blocks(n, 16)
         padded = np.zeros((blocks[-1][1], rows.shape[1]), dtype=np.float32)
         padded[:n] = rows
-        with T.no_graph():
-            logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data
-                      for lo, hi in blocks]
+        logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data for lo, hi in blocks]
         return T.log_softmax(np.concatenate(logits)[:n])
 
 

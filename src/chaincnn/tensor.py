@@ -1,25 +1,25 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-Deliberately minimal: only the layer set the sequence labelers need.
-Ops build a graph of closures; calling ``backward`` on the result walks
-the graph in reverse topological order and accumulates gradients into
-every tensor that asked for them. A graph is single-use: the walk frees
-each op node (a tensor with parents) as soon as its closure has run, so
-it keeps its ``data`` but loses its gradient, closure and parents, and
-with them every activation only the closure still held. Leaves (tensors
-without parents: parameters and inputs) keep their gradients. A later
-walk that reaches a freed node, a second ``backward`` or one through a
-tensor built on it, raises ``ModeError``. Inside ``no_graph()`` a thread's ops
-record no graph, so inference frees each intermediate as soon as the next
-op replaces it. Data and gradients are float32 throughout; loss and
-statistic reductions run their sums in float64 before rounding back.
+Deliberately minimal: only the layer set the sequence labelers need. Ops
+build a graph of closures; calling ``backward`` on the result walks the
+graph in reverse topological order and accumulates gradients into every
+tensor that asked for them. As in PyTorch's autograd, an op keeps its
+inputs and closure only when one of them requires a gradient, so ops on
+gradient-free tensors (inference) record no graph, and each intermediate
+is freed as soon as the next op replaces it. A graph is single-use: the
+walk frees each op node (a tensor with parents) as soon as its closure
+has run, so it keeps its ``data`` but loses its gradient, closure and
+parents, and with them every activation only the closure still held.
+Leaves (tensors without parents: parameters and inputs) keep their
+gradients. A later walk that reaches a freed node, a second ``backward``
+or one through a tensor built on it, raises ``ModeError``. Data and
+gradients are float32 throughout; loss and statistic reductions run
+their sums in float64 before rounding back.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,24 +45,6 @@ BIAS_INIT = 0.1
 # is bit-identical to projecting once.
 _MAX_NORM_SLACK = 1e-6
 
-_graph = threading.local()
-
-
-@contextmanager
-def no_graph():
-    """Tensors this thread creates inside keep no parents and no backward.
-
-    Ops compute the same values; only the graph that ``backward`` would walk
-    is dropped. The previous setting comes back on exit, also on an
-    exception. Other threads are not affected.
-    """
-    previous = getattr(_graph, "off", False)
-    _graph.off = True
-    try:
-        yield
-    finally:
-        _graph.off = previous
-
 
 class Tensor:
     """A float32 array plus an optional gradient buffer."""
@@ -72,13 +54,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
-        if getattr(_graph, "off", False):
-            parents, backward = (), None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in parents
-        )
-        self._parents = tuple(parents)
-        self._backward = backward
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -130,7 +108,7 @@ class Tensor:
         while order:
             node = order.pop()
             if node._parents:
-                if node._backward is not None and node.grad is not None:
+                if node.grad is not None:
                     node._backward(node.grad)
                 node.grad = node._backward = node._parents = None
 
@@ -164,6 +142,11 @@ class LayerParams:
 
     def trainable(self) -> dict[str, Tensor]:
         return {f"{self.name}.weights": self.weights, f"{self.name}.biases": self.biases}
+
+    def frozen(self) -> "LayerParams":
+        """The same arrays in tensors that require no gradient: ops on it record no graph."""
+        return LayerParams(self.name, Tensor(self.weights.data), Tensor(self.biases.data),
+                           self.extra)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +499,8 @@ class AdamState:
 
 
 def adam_update(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One Adam step over ``params`` in place; missing gradients count as zero."""
+    """One Adam step over ``params`` in place; missing gradients count as zero.
+    A non-finite gradient or updated value raises ``NonFiniteError`` naming its parameter."""
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     state.step += 1
@@ -538,3 +522,5 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         mhat = m / np.float32(b1c)
         vhat = v / np.float32(b2c)
         p.data -= np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(ADAM_EPS))
+        if not np.isfinite(p.data).all():
+            raise NonFiniteError(f"non-finite update of parameter {name!r}")

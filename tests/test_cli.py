@@ -367,6 +367,17 @@ class TestTrainCommand:
         assert code == 3
         assert "step" in capsys.readouterr().err
 
+    def test_numerical_blowup_names_the_parameter(self, tmp_path, tiny_cfg, data_dir, capsys):
+        """The first parameter an Adam step leaves non-finite is named at that
+        step, not when the loss turns non-finite a step later."""
+        code = main(["train", "--config", tiny_cfg, "--data", data_dir,
+                     "--out", str(tmp_path / "m.ckpt"), "--set", "lr_init=1e30",
+                     "--set", "dropout_rate=0.0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1 (batch ")
+        assert err.endswith("non-finite update of parameter 'output.weights'\n")
+
 
 class TestEvalCommand:
     def test_report_on_validation(self, tmp_path, tiny_cfg, data_dir, capsys):
@@ -487,7 +498,19 @@ class TestEvalCommand:
         assert main(["eval", "--ckpt", out, "--data", data_dir]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: tensor '{name}' has a non-finite entry\n"
+        assert captured.err == f"error: {out}: tensor '{name}' has a non-finite entry\n"
+
+    def test_ensemble_names_the_checkpoint_that_fails_to_bind(self, tmp_path, tiny_cfg,
+                                                              data_dir, capsys):
+        good = run_train(tmp_path, tiny_cfg, data_dir, name="a.ckpt")
+        bad = run_train(tmp_path, tiny_cfg, data_dir, name="b.ckpt")
+        ckpt = load_checkpoint(bad)
+        ckpt.tensors["output.biases"].flat[0] = np.nan
+        save_checkpoint(ckpt, bad)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", good, bad, "--data", data_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: tensor 'output.biases' has a non-finite entry\n")
 
     def test_ensemble_ignores_ckpt_order(self, tmp_path, tiny_cfg, data_dir, capsys):
         """Members trained on corpora with different PSSM statistics each

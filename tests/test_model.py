@@ -232,34 +232,40 @@ class TestGraphFreeInference:
                                 rng=np.random.default_rng(0))
         assert trained._parents and trained._backward is not None
 
-    def test_same_values_as_the_graph_keeping_forward(self):
+    def test_same_values_as_the_graph_keeping_forward(self, monkeypatch):
         model = randomized_stats_model(small_config(), 3)
         batch = self._batch()
+        expected = model.forward(batch.features, batch.mask).data
+        # infer mode on the live, gradient-requiring layers records the graph
+        monkeypatch.setattr(T.LayerParams, "frozen", lambda lp: lp)
         h = model._trunk(T.Tensor(model._with_context(batch.features, None)), batch.mask,
                          False, None)
         reference = model._head(T.gather_windows(h, model.config.fc_window), False, None)
         assert reference._parents
-        np.testing.assert_array_equal(model.forward(batch.features, batch.mask).data,
-                                      reference.data)
+        np.testing.assert_array_equal(expected, reference.data)
 
-    def test_switch_restored_after_an_exception(self):
+    def test_worker_infer_forward_beside_a_train_forward(self):
+        """A worker thread's infer-mode forward keeps no graph while the
+        calling thread's train-mode forward, run at the same time, keeps its
+        own: graph recording follows the tensors, not a per-thread mode."""
         model = build(small_config(), np.random.default_rng(3))
         batch = self._batch()
-        with pytest.raises(ShapeError):  # raised by the first apply_mask, inside the switch
-            model.forward(batch.features, batch.mask[:, :15])
-        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        assert T.relu(x)._parents == (x,)
-
-    def test_switch_is_thread_local(self):
-        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        barrier = threading.Barrier(2, timeout=30)
         built = {}
-        with T.no_graph():
-            worker = threading.Thread(target=lambda: built.update(out=T.relu(x)))
-            worker.start()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-            assert T.relu(x)._parents == ()
-        assert built["out"]._parents == (x,) and built["out"].requires_grad
+
+        def infer():
+            barrier.wait()
+            built["infer"] = model.forward(batch.features, batch.mask)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        barrier.wait()
+        trained = model.forward(batch.features, batch.mask, train=True,
+                                rng=np.random.default_rng(0))
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert built["infer"]._parents == () and not built["infer"].requires_grad
+        assert trained._parents and trained._backward is not None
 
 
 class TestLocality:

@@ -442,6 +442,27 @@ class TestSingleUseGraph:
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+class TestGraphFollowsRequiresGrad:
+    """An op keeps its parents and backward closure only when one of its
+    inputs requires a gradient; no mode switch is involved."""
+
+    def test_op_on_gradient_free_inputs_keeps_no_graph(self, rng):
+        x, w, b = (tensor(rng.standard_normal(shape), grad=False)
+                   for shape in ((2, 3, 4), (4, 5), (5,)))
+        out = T.relu(T.dense(x, w, b))
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+
+    def test_op_with_one_requiring_input_keeps_both(self, rng):
+        x, b = (tensor(rng.standard_normal(shape), grad=False) for shape in ((2, 3, 4), (5,)))
+        w = tensor(rng.standard_normal((4, 5)))
+        out = T.dense(x, w, b)
+        assert out._parents == (x, w, b) and out._backward is not None
+        assert out.requires_grad
+        out.backward(np.ones_like(out.data))
+        assert w.grad is not None and x.grad is None and b.grad is None
+
+
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         p = tensor([1.0])
@@ -478,6 +499,15 @@ class TestAdam:
         state = T.AdamState.for_params({"p": p})
         with pytest.raises(NonFiniteError):
             T.adam_update({"p": p}, state, lr=0.01)
+
+    def test_non_finite_update_names_the_parameter(self):
+        """A finite gradient whose step overflows the float32 parameter."""
+        params = {"a": tensor([1.0]), "b": tensor([-3e38])}
+        for p in params.values():
+            p.grad = np.array([1.0], dtype=np.float32)
+        state = T.AdamState.for_params(params)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="parameter 'b'"):
+            T.adam_update(params, state, lr=1e38)
 
     def test_step_counts_updates(self):
         p = tensor([1.0])
