@@ -44,6 +44,7 @@ from .inference import (
     beam_search,
     decode_independent,
     map_records,
+    member_workers,
 )
 from .metrics import confusion_matrix, render_report
 from .model import BlockSpec, ModelConfig, build
@@ -279,7 +280,7 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
         if not os.path.exists(sidecar):
             raise ConfigError(f"missing config sidecar {sidecar!r}")
         run = load_run_config(sidecar, [])
-        model = build(run.model, np.random.default_rng(0))
+        model = build(run.model, None)  # the checkpoint sets every weight
         try:
             bind_checkpoint(ckpt, model)
         except CheckpointError as err:
@@ -292,11 +293,13 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
 def _decode_all(ensemble: Ensemble, records, beam_width: int):
     """Labels of every record, in record order: beam search for a
     conditioned ensemble, per-position argmax otherwise. ``map_records``
-    decodes the records on the cores BLAS leaves idle; the labels do not
-    depend on how many."""
+    decodes the records on the cores BLAS leaves idle, and each record
+    scores its members on those the records leave (``member_workers``);
+    the labels do not depend on how many."""
+    threads = member_workers(len(records), len(ensemble.members))
     if ensemble.conditioned:
-        return map_records(lambda r: beam_search(ensemble, r, beam_width), records)
-    return map_records(lambda r: decode_independent(ensemble, r), records)
+        return map_records(lambda r: beam_search(ensemble, r, beam_width, threads), records)
+    return map_records(lambda r: decode_independent(ensemble, r, threads), records)
 
 
 # ---------------------------------------------------------------------------

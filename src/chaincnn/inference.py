@@ -17,12 +17,19 @@ so a rescored sequence totals exactly what beam search accumulated for it.
 Ensembles average the members' log probabilities per class.
 
 Records decode independently, so ``map_records`` decodes a list of them on
-the cores BLAS leaves idle (``decode_workers``), one record per thread at a
-time, and returns the results in record order.
+the cores BLAS leaves idle (``idle_cores``), one record per thread at a
+time, and returns the results in record order. When those cores outnumber
+the records, each record scores its ensemble members side by side on the
+rest (``member_workers``, ``member_threads``): at every beam position and
+in ``decode_independent``. Every member makes the BLAS calls it makes
+alone and the mean does not depend on member order, so the labels do not
+depend on any thread count.
 """
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +60,15 @@ class Ensemble:
         return self.members[0].config.conditioned
 
 
-def decode_workers(n_records: int) -> int:
-    """Threads ``map_records`` decodes ``n_records`` records on.
+def idle_cores() -> int:
+    """Threads decoding may run on without crowding BLAS: ``cores // blas_threads``.
 
-    ``min(n_records, cores // blas_threads)``, at least 1: ``cores`` is this
-    process's CPU affinity (else ``os.cpu_count()``), and ``blas_threads``
-    the first positive integer in ``$OPENBLAS_NUM_THREADS``, then
-    ``$OMP_NUM_THREADS``, else ``cores``. So an unpinned BLAS, which already
-    runs one matmul on every core, keeps one thread: record threads beside
-    BLAS threads on the same cores oversubscribe them and run slower.
+    At least 1: ``cores`` is this process's CPU affinity (else
+    ``os.cpu_count()``), and ``blas_threads`` the first positive integer in
+    ``$OPENBLAS_NUM_THREADS``, then ``$OMP_NUM_THREADS``, else ``cores``. So
+    an unpinned BLAS, which already runs one matmul on every core, leaves
+    one: decode threads beside BLAS threads on the same cores oversubscribe
+    them and run slower.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -76,7 +83,25 @@ def decode_workers(n_records: int) -> int:
         if value > 0:
             blas_threads = value
             break
-    return max(1, min(n_records, cores // blas_threads))
+    return max(1, cores // blas_threads)
+
+
+def decode_workers(n_records: int) -> int:
+    """Threads ``map_records`` decodes ``n_records`` records on:
+    ``min(n_records, idle_cores())``, at least 1."""
+    return max(1, min(n_records, idle_cores()))
+
+
+def member_workers(n_records: int, n_members: int) -> int:
+    """Threads each of ``n_records`` records scores its ``n_members`` members on.
+
+    ``min(n_members, idle_cores() // decode_workers(n_records))``, at least
+    1: the cores the record threads leave idle, shared out, so records times
+    members never exceed ``idle_cores()``. One record on two idle cores
+    scores a 2-member ensemble on both; a one-member model, or more records
+    than idle cores, gets 1, the serial member loop.
+    """
+    return max(1, min(n_members, idle_cores() // decode_workers(n_records)))
 
 
 def map_records(fn, records) -> list:
@@ -89,7 +114,9 @@ def map_records(fn, records) -> list:
     serial loop computes, so the output does not depend on the worker count.
     After a record raises (``KeyboardInterrupt`` too) no new record starts,
     the records in flight finish, and the exception of the lowest failing
-    index is raised: the one the serial loop would raise.
+    index is raised: the one the serial loop would raise. ``fn`` may score
+    its record's members on threads of its own; ``member_workers`` sizes
+    them so that all threads together stay within ``idle_cores()``.
     """
     records = list(records)
     results = [None] * len(records)
@@ -126,6 +153,38 @@ def map_records(fn, records) -> list:
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def _in_turn(fn, members) -> list:
+    return [fn(m) for m in members]
+
+
+@contextmanager
+def member_threads(threads: int):
+    """Yield ``each(fn, members)``: ``[fn(m) for m in members]``, on ``threads`` threads.
+
+    The calling thread runs ``fn(members[0])`` while up to ``threads - 1``
+    worker threads run the others. The workers start at the first call,
+    serve every later call in the context, and are joined when it exits, so
+    a record decode starts them once, not once per position. The results
+    come back in member order. A failure (``KeyboardInterrupt`` too) raises
+    the exception of the lowest failing member, the one the serial loop
+    would raise. One thread starts none and runs the serial loop.
+    """
+    if threads <= 1:
+        yield _in_turn
+        return
+    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="member")
+
+    def each(fn, members):
+        rest = [pool.submit(fn, m) for m in members[1:]]
+        first = fn(members[0])
+        return [first] + [f.result() for f in rest]
+
+    try:
+        yield each
+    finally:  # members still queued after a failure never start
+        pool.shutdown(cancel_futures=True)
 
 
 def _members(model_or_ensemble) -> tuple[Model, ...]:
@@ -178,22 +237,23 @@ def _mean_over_members(scores: list[np.ndarray]) -> np.ndarray:
     return stacked.sum(axis=0) / len(scores)
 
 
-def ensemble_step_score(members, features, mask, context=None) -> np.ndarray:
+def ensemble_step_score(members, features, mask, context=None, each=_in_turn) -> np.ndarray:
     """Per-class averaged log probabilities over the 8 structure classes.
 
     ``features``/``mask``/``context`` are a batch of windows, as
     ``Model.forward_window`` takes them; returns (batch, 8) float64.
     ``members`` come from one validated ``Ensemble`` or a single model, so
-    they agree on mode.
+    they agree on mode. ``each`` runs the members' window forwards: in turn,
+    or side by side when it comes from ``member_threads``.
     """
     members = tuple(members)
     if not members:
         raise ParameterError("no models to score with")
-    scores = [m.forward_window(features, mask, context) for m in members]
+    scores = each(lambda m: m.forward_window(features, mask, context), members)
     return _mean_over_members(scores)[..., :NUM_REAL_CLASSES]
 
 
-def step_scores(members, rows, i: int) -> np.ndarray:
+def step_scores(members, rows, i: int, each=_in_turn) -> np.ndarray:
     """Scores at position ``i`` for a batch of (record, label context) rows.
 
     Builds each row's receptive-field window and conditioning context,
@@ -211,22 +271,27 @@ def step_scores(members, rows, i: int) -> np.ndarray:
         masks.append(m)
         contexts.append(context_window(context, i, rf.radius, rf.conditioning_shift,
                                        record.length))
-    return ensemble_step_score(members, np.stack(feats), np.stack(masks), np.stack(contexts))
+    return ensemble_step_score(members, np.stack(feats), np.stack(masks), np.stack(contexts),
+                               each)
 
 
-def decode_independent(model_or_ensemble, record: ProteinRecord) -> np.ndarray:
-    """Argmax of (ensemble-averaged) log probabilities per masked-in position."""
+def decode_independent(model_or_ensemble, record: ProteinRecord, threads: int = 1) -> np.ndarray:
+    """Argmax of (ensemble-averaged) log probabilities per masked-in position.
+
+    The members run their forwards on ``threads`` threads (``member_threads``).
+    """
     members = _members(model_or_ensemble)
     if any(m.config.conditioned for m in members):
         raise ModeError("independent decoding needs unconditioned models")
     if record.length == 0:
         return np.zeros(0, dtype=np.int64)
     batch = make_batch([record], length=record.length)
-    scores = [
-        log_softmax(m.forward(batch.features, batch.mask, train=False).data[0])
-        for m in members
-    ]
-    mean = _mean_over_members(scores)
+
+    def scores(m):
+        return log_softmax(m.forward(batch.features, batch.mask, train=False).data[0])
+
+    with member_threads(threads) as each:
+        mean = _mean_over_members(each(scores, members))
     return np.argmax(mean[:, :NUM_REAL_CLASSES], axis=1).astype(np.int64)
 
 
@@ -235,13 +300,15 @@ def _best_first(candidates):
     return sorted(candidates, key=lambda c: (-c[0], c[1]))
 
 
-def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
+def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFAULT_BEAM_WIDTH,
+                threads: int = 1) -> np.ndarray:
     """Left-to-right beam decode over the 8 structure classes.
 
     Each step extends every live hypothesis by all 8 classes, scores the
     extensions by accumulated float64 log probability, and keeps the best
     ``beam_width``. Ties break toward the lexicographically smaller label
-    sequence. Returns the labels of the best complete hypothesis.
+    sequence. Returns the labels of the best complete hypothesis. The
+    members score each position on ``threads`` threads (``member_threads``).
     """
     members = _members(model_or_ensemble)
     if not all(m.config.conditioned for m in members):
@@ -252,14 +319,15 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
         return np.zeros(0, dtype=np.int64)
 
     beam = [(0.0, ())]  # (accumulated log_prob, labels so far)
-    for i in range(record.length):
-        scores = step_scores(members, [(record, labels) for _, labels in beam], i)
-        candidates = [
-            (log_prob + float(scores[h, c]), labels + (c,))
-            for h, (log_prob, labels) in enumerate(beam)
-            for c in range(NUM_REAL_CLASSES)
-        ]
-        beam = _best_first(candidates)[:beam_width]
+    with member_threads(threads) as each:
+        for i in range(record.length):
+            scores = step_scores(members, [(record, labels) for _, labels in beam], i, each)
+            candidates = [
+                (log_prob + float(scores[h, c]), labels + (c,))
+                for h, (log_prob, labels) in enumerate(beam)
+                for c in range(NUM_REAL_CLASSES)
+            ]
+            beam = _best_first(candidates)[:beam_width]
     return np.array(beam[0][1], dtype=np.int64)
 
 

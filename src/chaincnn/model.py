@@ -564,9 +564,10 @@ class Stepper:
         return self._mask[:, col, None]
 
 
-def build(config: ModelConfig, rng: np.random.Generator) -> Model:
+def build(config: ModelConfig, rng: np.random.Generator | None) -> Model:
     """Initialize all layers; creation order is fixed, so equal seeds give
-    bit-identical models."""
+    bit-identical models. ``rng`` None draws nothing and leaves the weights
+    zero, for ``training.bind_checkpoint`` to fill."""
     config.validate()
     buffers = {
         "input_norm.pssm_mean": T.Tensor(np.zeros(NUM_PSSM, dtype=np.float32)),
@@ -587,7 +588,9 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
         else:
             model.layers[name] = T.LayerParams(
                 name=name,
-                weights=T.init_weights(shape, fan_in=math.prod(shape[:-1]), rng=rng),
+                weights=(T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+                         if rng is None else
+                         T.init_weights(shape, fan_in=math.prod(shape[:-1]), rng=rng)),
                 biases=T.init_bias(shape[-1:]),
             )
     return model

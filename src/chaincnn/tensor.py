@@ -326,7 +326,9 @@ def batch_norm(x: Tensor, mask: np.ndarray, params: LayerParams, train: bool) ->
 
     Statistics come from masked-in positions only; masked-out positions
     pass through the same affine transform. Training mode updates the
-    running statistics in ``params.extra`` with EMA momentum 0.99.
+    running statistics in ``params.extra`` with EMA momentum 0.99; a batch
+    mean or variance that is not finite in float32 raises ``NonFiniteError``
+    naming the layer before they are touched.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batch_norm expects [batch, length, ch], got {x.data.shape}")
@@ -350,6 +352,9 @@ def batch_norm(x: Tensor, mask: np.ndarray, params: LayerParams, train: bool) ->
         centered = (x.data - mean) * m3
         var64 = (centered.astype(np.float64) ** 2).sum(axis=(0, 1)) / n
         var = var64.astype(np.float32)
+        for stat, value in (("mean", mean), ("variance", var)):
+            if not np.isfinite(value).all():
+                raise NonFiniteError(f"non-finite batch {stat} in layer {params.name!r}")
         rmean, rvar = params.extra["running_mean"], params.extra["running_var"]
         rmean.data = (BN_MOMENTUM * rmean.data + (1.0 - BN_MOMENTUM) * mean).astype(np.float32)
         rvar.data = (BN_MOMENTUM * rvar.data + (1.0 - BN_MOMENTUM) * var).astype(np.float32)

@@ -340,15 +340,14 @@ def train(model: Model, data: DatasetSplit, config: TrainConfig, log=None) -> Ch
             context = model.label_context(scheduled_sampling_pass(model, batch, rate, rng))
         for t in params.values():
             t.grad = None
-        logits = model.forward(batch.features, batch.mask, context, train=True, rng=rng)
-        loss = T.softmax_cross_entropy(logits, batch.labels, batch.mask)
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
-            ids = ",".join(r.id for r in records[:8])
-            raise NonFiniteError(f"non-finite loss at step {step} (batch {ids}, ...)")
-        loss.backward()
         lr = lr_at(step, config)
-        try:
+        try:  # batch norm, the loss and Adam each reject a non-finite value
+            logits = model.forward(batch.features, batch.mask, context, train=True, rng=rng)
+            loss = T.softmax_cross_entropy(logits, batch.labels, batch.mask)
+            loss_value = float(loss.data)
+            if not np.isfinite(loss_value):
+                raise NonFiniteError("non-finite loss")
+            loss.backward()
             T.adam_update(params, adam, lr)
         except NonFiniteError as err:
             ids = ",".join(r.id for r in records[:8])

@@ -368,15 +368,16 @@ class TestTrainCommand:
         assert "step" in capsys.readouterr().err
 
     def test_numerical_blowup_names_the_parameter(self, tmp_path, tiny_cfg, data_dir, capsys):
-        """The first parameter an Adam step leaves non-finite is named at that
-        step, not when the loss turns non-finite a step later."""
+        """The first non-finite value is named at the step that makes it:
+        here step 1's batch variance in the first norm layer, before Adam
+        leaves a parameter non-finite or the loss turns non-finite."""
         code = main(["train", "--config", tiny_cfg, "--data", data_dir,
                      "--out", str(tmp_path / "m.ckpt"), "--set", "lr_init=1e30",
                      "--set", "dropout_rate=0.0"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: step 1 (batch ")
-        assert err.endswith("non-finite update of parameter 'output.weights'\n")
+        assert err.endswith("non-finite batch variance in layer 'block1.multi_norm'\n")
 
 
 class TestEvalCommand:

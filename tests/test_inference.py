@@ -13,6 +13,7 @@ import pytest
 
 import chaincnn.cli as cli
 import chaincnn.inference as inference
+import chaincnn.tensor
 from chaincnn.cli import load_run_config, main, render_config
 from chaincnn.data import NOSEQ_CLASS, make_batch, save_native
 from chaincnn.errors import ModeError, NonFiniteError, ParameterError
@@ -418,8 +419,9 @@ class TestEnsembleValidation:
 
 
 def force_workers(monkeypatch, count):
-    """Make ``map_records`` use ``min(n, count)`` workers whatever the cores."""
-    monkeypatch.setattr(inference, "decode_workers", lambda n: max(1, min(n, count)))
+    """Make decoding see ``count`` idle cores whatever the machine: ``map_records``
+    uses ``min(n, count)`` workers, and each record's members share the rest."""
+    monkeypatch.setattr(inference, "idle_cores", lambda: count)
 
 
 class TestDecodeWorkers:
@@ -548,6 +550,35 @@ def mixed_records():
             for i, n in enumerate(lengths)]
 
 
+def ensemble_on_disk(tmp_path, records, conditioned, members):
+    """``members`` checkpoints with sidecars whose validation split is ``records``."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    save_native(records, str(data_dir / "corpus.txt"))
+    run = dataclasses.replace(load_run_config("ablation_row9", []),
+                              model=small_config(conditioned), data_dir=str(data_dir),
+                              n_validation=len(records))
+    ckpts = []
+    for k in range(members):
+        model = randomized_stats_model(run.model, 40 + k)
+        path = str(tmp_path / f"m{k}.ckpt")
+        save_checkpoint(checkpoint_from_model(model), path)
+        (tmp_path / f"m{k}.ckpt.cfg").write_text(render_config(run))
+        ckpts.append(path)
+    return SimpleNamespace(records=records, ckpts=ckpts, dir=str(data_dir), tmp=tmp_path)
+
+
+def cli_outputs(setup, capsys):
+    """``eval --raw``'s report and ``predict``'s file, both at beam width 3."""
+    assert main(["eval", "--ckpt", *setup.ckpts, "--raw", "--beam-width", "3"]) == 0
+    report = capsys.readouterr().out
+    dest = setup.tmp / "preds.txt"
+    assert main(["predict", "--ckpt", *setup.ckpts, "--input", setup.dir + "/corpus.txt",
+                 "--output", str(dest), "--beam-width", "3"]) == 0
+    capsys.readouterr()
+    return report, dest.read_bytes()
+
+
 class TestParallelDecodeParity:
     """Decoding on three workers is byte-identical to one worker.
 
@@ -559,37 +590,13 @@ class TestParallelDecodeParity:
 
     @pytest.fixture(params=list(KINDS))
     def setup(self, request, tmp_path):
-        conditioned, members = self.KINDS[request.param]
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        records = mixed_records()
-        save_native(records, str(data_dir / "corpus.txt"))
-        run = dataclasses.replace(load_run_config("ablation_row9", []),
-                                  model=small_config(conditioned), data_dir=str(data_dir),
-                                  n_validation=len(records))
-        ckpts = []
-        for k in range(members):
-            model = randomized_stats_model(run.model, 40 + k)
-            path = str(tmp_path / f"m{k}.ckpt")
-            save_checkpoint(checkpoint_from_model(model), path)
-            (tmp_path / f"m{k}.ckpt.cfg").write_text(render_config(run))
-            ckpts.append(path)
-        return SimpleNamespace(records=records, ckpts=ckpts, dir=str(data_dir), tmp=tmp_path)
-
-    def _outputs(self, setup, capsys):
-        assert main(["eval", "--ckpt", *setup.ckpts, "--raw", "--beam-width", "3"]) == 0
-        report = capsys.readouterr().out
-        dest = setup.tmp / "preds.txt"
-        assert main(["predict", "--ckpt", *setup.ckpts, "--input", setup.dir + "/corpus.txt",
-                     "--output", str(dest), "--beam-width", "3"]) == 0
-        capsys.readouterr()
-        return report, dest.read_bytes()
+        return ensemble_on_disk(tmp_path, mixed_records(), *self.KINDS[request.param])
 
     def test_eval_and_predict(self, setup, monkeypatch, capsys):
         force_workers(monkeypatch, 1)
-        serial = self._outputs(setup, capsys)
+        serial = cli_outputs(setup, capsys)
         force_workers(monkeypatch, 3)
-        assert self._outputs(setup, capsys) == serial
+        assert cli_outputs(setup, capsys) == serial
         ids = [line.split(b"\t")[0].decode() for line in serial[1].splitlines()]
         assert ids == [r.id for r in setup.records]
 
@@ -628,3 +635,119 @@ class TestParallelDecodeParity:
             force_workers(monkeypatch, workers)
             outcomes.append((main(argv), capsys.readouterr().err, dest.exists()))
         assert outcomes[0] == outcomes[1] == (3, "error: record mix03 overflowed\n", False)
+
+
+class TestMemberThreadParity:
+    """One record's members scored on three threads, byte-identical to one,
+    and loading the checkpoints draws no random weights.
+
+    Each member makes the same BLAS calls on any thread and the mean sorts
+    the members' scores, so this holds on every BLAS core."""
+
+    KINDS = {"conditioned2": (True, 2), "conditioned3": (True, 3),
+             "plain2": (False, 2), "plain3": (False, 3)}
+
+    @pytest.fixture(params=list(KINDS))
+    def setup(self, request, tmp_path):
+        return ensemble_on_disk(tmp_path, mixed_records()[:1], *self.KINDS[request.param])
+
+    def test_eval_and_predict(self, setup, monkeypatch, capsys):
+        force_workers(monkeypatch, 1)
+        serial = cli_outputs(setup, capsys)
+        force_workers(monkeypatch, 3)
+        assert cli_outputs(setup, capsys) == serial
+
+    def test_loading_draws_no_init(self, setup, monkeypatch, capsys):
+        expected = cli_outputs(setup, capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random weights")
+
+        monkeypatch.setattr(chaincnn.tensor, "init_weights", refuse)
+        assert cli_outputs(setup, capsys) == expected
+
+
+class TestMemberThreads:
+    """Records times member threads stay within the idle cores; a failing
+    member surfaces as in the serial member loop, and no thread outlives
+    the decode."""
+
+    @pytest.mark.parametrize("n_records, record_threads, member_threads",
+                             [(1, 1, 3), (2, 2, 2), (5, 4, 1)])
+    def test_live_threads_within_idle_cores(self, n_records, record_threads, member_threads,
+                                            monkeypatch, tmp_path, capsys):
+        setup = ensemble_on_disk(tmp_path, mixed_records()[:n_records], True, 3)
+        force_workers(monkeypatch, 4)
+        assert inference.decode_workers(n_records) == record_threads
+        assert inference.member_workers(n_records, 3) == member_threads
+        before = threading.active_count()
+        live, idents, lock = [], set(), threading.Lock()
+        original = Model.forward_window
+
+        def counted(model, *args):
+            with lock:
+                live.append(threading.active_count() - before + 1)
+                idents.add(threading.get_ident())
+            return original(model, *args)
+
+        monkeypatch.setattr(Model, "forward_window", counted)
+        cli_outputs(setup, capsys)
+        assert max(live) <= 4
+        assert threading.active_count() == before
+        if n_records == 1:  # the caller scores member 0, workers the others
+            assert threading.get_ident() in idents and len(idents) >= 2
+
+    def test_stress_results_in_member_order(self):
+        # a result filed under the wrong member would break the order
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with inference.member_threads(3) as each:
+                for n in range(1, 300):
+                    assert each(lambda m: -m, range(n % 7 + 1)) == [-m for m in range(n % 7 + 1)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("conditioned", [True, False])
+    def test_one_member_starts_no_thread(self, conditioned, monkeypatch, tmp_path, capsys):
+        setup = ensemble_on_disk(tmp_path, mixed_records()[:1], conditioned, 1)
+        force_workers(monkeypatch, 4)
+
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cli_outputs(setup, capsys)
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        return {conditioned: tuple(randomized_stats_model(small_config(conditioned), 50 + k)
+                                   for k in range(3))
+                for conditioned in (True, False)}
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("fails, lowest", [({1}, 1), ({2}, 2), ({1, 2}, 1), ({0, 2}, 0)])
+    @pytest.mark.parametrize("conditioned", [True, False])
+    def test_lowest_failing_member_surfaces(self, conditioned, fails, lowest, exc, members,
+                                            monkeypatch):
+        models = members[conditioned]
+        method = "forward_window" if conditioned else "forward"
+        original = getattr(Model, method)
+
+        def failing(model, *args, **kwargs):
+            k = models.index(model)
+            if k in fails:
+                if k == lowest:  # let a higher member fail first where one does
+                    time.sleep(0.05)
+                raise exc(k)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(Model, method, failing)
+        decode = beam_search if conditioned else decode_independent
+        record = mixed_records()[0]
+        before = threading.active_count()
+        for threads in (1, 3):
+            with pytest.raises(exc) as err:
+                decode(Ensemble(models), record, *([3] if conditioned else []), threads=threads)
+            assert err.value.args == (lowest,)
+            assert threading.active_count() == before

@@ -174,6 +174,21 @@ class TestBatchNorm:
         np.testing.assert_allclose(params.extra["running_mean"].data, [0.02], rtol=1e-6)
         np.testing.assert_allclose(params.extra["running_var"].data, [0.99], rtol=1e-6)
 
+    @pytest.mark.parametrize("values, stat", [
+        ([3.4e31, -3.4e31, 0.0], "variance"),  # finite inputs, the float32 variance overflows
+        ([np.inf, 1.0, 0.0], "mean"),
+    ])
+    def test_non_finite_batch_statistic_names_the_layer(self, values, stat):
+        x = np.zeros((1, 3, 2), dtype=np.float32)
+        x[0, :, 1] = values
+        params = bn_params(2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=f"^non-finite batch {stat} in layer 'bn'$"):
+            T.batch_norm(tensor(x), np.ones((1, 3), dtype=np.float32), params, train=True)
+        # the running statistics stay as they were
+        np.testing.assert_array_equal(params.extra["running_mean"].data, [0.0, 0.0])
+        np.testing.assert_array_equal(params.extra["running_var"].data, [1.0, 1.0])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
