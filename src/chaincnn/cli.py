@@ -241,8 +241,8 @@ def load_records(data_dir: str | None, stem: str):
     """The labelled records of ``{stem}.npy``, or else ``{stem}.txt``, in ``data_dir``.
 
     Exactly one file is read. Every caller scores against labels, so a file
-    without records, or a record without labels, is a data error naming the
-    file (and the record).
+    without records, or a record without labels or residues, is a data error
+    naming the file (and the record).
     """
     if data_dir is None:
         raise UsageError("no data directory: pass --data or set 'data =' in the config")
@@ -257,9 +257,11 @@ def load_records(data_dir: str | None, stem: str):
         raise DataFormatError(f"no {stem}.npy or {stem}.txt in {data_dir!r}")
     if not records:
         raise DataFormatError(f"{path}: no records")
-    unlabelled = next((r.id for r in records if r.labels is None), None)
-    if unlabelled is not None:
-        raise DataFormatError(f"{path}: record {unlabelled} has no labels")
+    for r in records:
+        if r.labels is None:
+            raise DataFormatError(f"{path}: record {r.id} has no labels")
+        if r.length == 0:  # an all-no-seq source row
+            raise DataFormatError(f"{path}: record {r.id} has no residues")
     return records
 
 
@@ -294,8 +296,9 @@ def _decode_all(ensemble: Ensemble, records, beam_width: int):
     """Labels of every record, in record order: beam search for a
     conditioned ensemble, per-position argmax otherwise. ``map_records``
     decodes the records on the cores BLAS leaves idle, and each record
-    scores its members on those the records leave (``member_workers``);
-    the labels do not depend on how many."""
+    scores its members on those the records leave (``member_workers``),
+    both through ``inference.worker_threads``; the labels do not depend on
+    how many."""
     threads = member_workers(len(records), len(ensemble.members))
     if ensemble.conditioned:
         return map_records(lambda r: beam_search(ensemble, r, beam_width, threads), records)
@@ -310,18 +313,26 @@ def _check_output(path: str) -> None:
     """Fail before any work if ``path`` is a directory or its directory is missing."""
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
-        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+        state = "is not a directory" if os.path.exists(out_dir) else "does not exist"
+        raise FileNotFoundError(f"output directory {out_dir!r} {state}")
     if os.path.isdir(path):
         raise IsADirectoryError(f"output {path!r} is a directory")
 
 
-def _train_and_save(run: RunConfig, out_path: str) -> int:
-    for path in (out_path, out_path + ".cfg"):  # before training, which can take hours
-        _check_output(path)
+def _train_and_save(run: RunConfig, out_path: str, make_dir: bool = False) -> int:
+    """Train ``run`` and write ``out_path`` with its sidecar; ``make_dir``
+    makes a missing output directory, but only once the data has loaded."""
+    out_dir = os.path.dirname(out_path) or "."
+    missing = make_dir and not os.path.exists(out_dir)
+    if not missing:
+        for path in (out_path, out_path + ".cfg"):  # before training, which can take hours
+            _check_output(path)
     split = prepare_split(run, run.data_dir)
     if not split.train:
         raise ConfigError(f"n_validation = {run.n_validation} leaves no training records "
                           f"in a corpus of {len(split.validation)}")
+    if missing:
+        os.makedirs(out_dir)
     model = build(run.model, np.random.default_rng(run.training.seed))
     mean, std = compute_pssm_stats(split.train)
     model.buffers["input_norm.pssm_mean"].data[...] = mean
@@ -377,9 +388,8 @@ def cmd_ablate(args) -> int:
     if not 1 <= args.row <= 9:
         raise ConfigError(f"ablation row must be in 1..9, got {args.row}")
     run = load_run_config(f"ablation_row{args.row}", args.set, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     return _train_and_save(dataclasses.replace(run, data_dir=args.data),
-                           os.path.join(args.out, f"row{args.row}.ckpt"))
+                           os.path.join(args.out, f"row{args.row}.ckpt"), make_dir=True)
 
 
 # ---------------------------------------------------------------------------

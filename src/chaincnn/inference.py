@@ -16,14 +16,15 @@ per position, and the tests check its scores equal to this window path's,
 so a rescored sequence totals exactly what beam search accumulated for it.
 Ensembles average the members' log probabilities per class.
 
-Records decode independently, so ``map_records`` decodes a list of them on
-the cores BLAS leaves idle (``idle_cores``), one record per thread at a
-time, and returns the results in record order. When those cores outnumber
-the records, each record scores its ensemble members side by side on the
-rest (``member_workers``, ``member_threads``): at every beam position and
-in ``decode_independent``. Every member makes the BLAS calls it makes
-alone and the mean does not depend on member order, so the labels do not
-depend on any thread count.
+Decoding runs on the cores BLAS leaves idle (``idle_cores``) through one
+thread pool, ``worker_threads``: its threads take the next item from one
+shared counter, and the results come back in item order. ``map_records``
+decodes a list of records on it, one record per thread at a time. When
+the idle cores outnumber the records, each record scores its ensemble
+members side by side on the rest (``member_workers``) through a pool of
+its own: at every beam position and in ``decode_independent``. Every
+member makes the BLAS calls it makes alone and the mean does not depend
+on member order, so the labels do not depend on any thread count.
 """
 
 import os
@@ -104,87 +105,73 @@ def member_workers(n_records: int, n_members: int) -> int:
     return max(1, min(n_members, idle_cores() // decode_workers(n_records)))
 
 
-def map_records(fn, records) -> list:
-    """``[fn(r) for r in records]``, run on ``decode_workers(len(records))`` threads.
-
-    The calling thread decodes too, beside the other workers - 1 threads;
-    each takes the next record index from one shared counter, and every
-    thread is joined before this returns. One worker starts no thread. The
-    results come back in record order, and each record computes what the
-    serial loop computes, so the output does not depend on the worker count.
-    After a record raises (``KeyboardInterrupt`` too) no new record starts,
-    the records in flight finish, and the exception of the lowest failing
-    index is raised: the one the serial loop would raise. ``fn`` may score
-    its record's members on threads of its own; ``member_workers`` sizes
-    them so that all threads together stay within ``idle_cores()``.
-    """
-    records = list(records)
-    results = [None] * len(records)
-    failures = {}
-    lock = threading.Lock()
-    claimed = 0
-
-    def work():
-        nonlocal claimed
-        while True:
-            with lock:
-                if failures or claimed == len(records):
-                    return
-                i = claimed
-                claimed += 1
-            try:
-                results[i] = fn(records[i])
-            except BaseException as err:  # re-raised by the calling thread
-                with lock:
-                    failures[i] = err
-                return
-
-    threads = [threading.Thread(target=work, name=f"decode-{k}")
-               for k in range(1, decode_workers(len(records)))]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        with lock:  # also after an interrupt outside ``fn``: start no new record
-            claimed = len(records)
-        for t in threads:
-            t.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
-def _in_turn(fn, members) -> list:
-    return [fn(m) for m in members]
+def _in_turn(fn, items) -> list:
+    return [fn(x) for x in items]
 
 
 @contextmanager
-def member_threads(threads: int):
-    """Yield ``each(fn, members)``: ``[fn(m) for m in members]``, on ``threads`` threads.
+def worker_threads(threads: int):
+    """Yield ``each(fn, items)``: ``[fn(x) for x in items]``, on ``threads`` threads.
 
-    The calling thread runs ``fn(members[0])`` while up to ``threads - 1``
-    worker threads run the others. The workers start at the first call,
-    serve every later call in the context, and are joined when it exits, so
-    a record decode starts them once, not once per position. The results
-    come back in member order. A failure (``KeyboardInterrupt`` too) raises
-    the exception of the lowest failing member, the one the serial loop
-    would raise. One thread starts none and runs the serial loop.
+    The calling thread works too, beside up to ``threads - 1`` pool threads;
+    each takes the next item index from one shared counter. The pool threads
+    start at the first call, serve every later call in the context, and are
+    joined when it exits, so a beam decode starts them once, not once per
+    position. The results come back in item order. After an item raises
+    (``KeyboardInterrupt`` too) no new item starts, the items in flight
+    finish, and the exception of the lowest failing index is raised: the one
+    the serial loop would raise. One thread starts none and runs that loop.
     """
     if threads <= 1:
         yield _in_turn
         return
-    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="member")
+    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="decode")
 
-    def each(fn, members):
-        rest = [pool.submit(fn, m) for m in members[1:]]
-        first = fn(members[0])
-        return [first] + [f.result() for f in rest]
+    def each(fn, items):
+        results = [None] * len(items)
+        failures = {}
+        lock = threading.Lock()
+        claimed = 0
 
-    try:
+        def work():
+            nonlocal claimed
+            while True:
+                with lock:
+                    if failures or claimed == len(items):
+                        return
+                    i = claimed
+                    claimed += 1
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as err:  # re-raised by the calling thread
+                    with lock:
+                        failures[i] = err
+                    return
+
+        helpers = [pool.submit(work) for _ in range(min(threads, len(items)) - 1)]
+        try:
+            work()
+        finally:
+            with lock:  # also after an interrupt outside ``fn``: start no new item
+                claimed = len(items)
+            for h in helpers:
+                h.result()
+        if failures:
+            raise failures[min(failures)]
+        return results
+
+    with pool:  # joins the pool threads on exit
         yield each
-    finally:  # members still queued after a failure never start
-        pool.shutdown(cancel_futures=True)
+
+
+def map_records(fn, records) -> list:
+    """``[fn(r) for r in records]``, run on ``decode_workers(len(records))``
+    threads through ``worker_threads``. ``fn`` may score its record's members
+    on a ``worker_threads`` context of its own; ``member_workers`` sizes it
+    so that all threads together stay within ``idle_cores()``."""
+    records = list(records)
+    with worker_threads(decode_workers(len(records))) as each:
+        return each(fn, records)
 
 
 def _members(model_or_ensemble) -> tuple[Model, ...]:
@@ -244,7 +231,7 @@ def ensemble_step_score(members, features, mask, context=None, each=_in_turn) ->
     ``Model.forward_window`` takes them; returns (batch, 8) float64.
     ``members`` come from one validated ``Ensemble`` or a single model, so
     they agree on mode. ``each`` runs the members' window forwards: in turn,
-    or side by side when it comes from ``member_threads``.
+    or side by side when it comes from ``worker_threads``.
     """
     members = tuple(members)
     if not members:
@@ -278,7 +265,7 @@ def step_scores(members, rows, i: int, each=_in_turn) -> np.ndarray:
 def decode_independent(model_or_ensemble, record: ProteinRecord, threads: int = 1) -> np.ndarray:
     """Argmax of (ensemble-averaged) log probabilities per masked-in position.
 
-    The members run their forwards on ``threads`` threads (``member_threads``).
+    The members run their forwards on ``threads`` threads (``worker_threads``).
     """
     members = _members(model_or_ensemble)
     if any(m.config.conditioned for m in members):
@@ -290,7 +277,7 @@ def decode_independent(model_or_ensemble, record: ProteinRecord, threads: int = 
     def scores(m):
         return log_softmax(m.forward(batch.features, batch.mask, train=False).data[0])
 
-    with member_threads(threads) as each:
+    with worker_threads(threads) as each:
         mean = _mean_over_members(each(scores, members))
     return np.argmax(mean[:, :NUM_REAL_CLASSES], axis=1).astype(np.int64)
 
@@ -308,7 +295,7 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
     extensions by accumulated float64 log probability, and keeps the best
     ``beam_width``. Ties break toward the lexicographically smaller label
     sequence. Returns the labels of the best complete hypothesis. The
-    members score each position on ``threads`` threads (``member_threads``).
+    members score each position on ``threads`` threads (``worker_threads``).
     """
     members = _members(model_or_ensemble)
     if not all(m.config.conditioned for m in members):
@@ -319,7 +306,7 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
         return np.zeros(0, dtype=np.int64)
 
     beam = [(0.0, ())]  # (accumulated log_prob, labels so far)
-    with member_threads(threads) as each:
+    with worker_threads(threads) as each:
         for i in range(record.length):
             scores = step_scores(members, [(record, labels) for _, labels in beam], i, each)
             candidates = [

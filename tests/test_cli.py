@@ -723,6 +723,20 @@ class TestAblateCommand:
             assert ablated == Path(out + suffix).read_bytes()
         assert load_run_config(out + ".cfg", []).training.seed == 7
 
+    def test_failed_data_load_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["ablate", "--row", "9", "--data", str(tmp_path / "missing"),
+                     "--out", str(out)]) == 2
+        assert "missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "runs"
+        out.write_text("")
+        assert main(["ablate", "--row", "2", "--data", data_dir, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output directory {str(out)!r} is not a directory\n")
+
     def test_checkpoint_path_is_a_directory_exit_2(self, tmp_path, data_dir, monkeypatch,
                                                    capsys):
         def no_training(*args, **kwargs):
@@ -777,6 +791,28 @@ class TestNpyCorpus:
         assert main(["train", "--config", tiny_cfg, "--data", str(d),
                      "--out", out, "--seed", "1"]) == 0
 
+
+    @pytest.mark.parametrize("n_real", [4, 0])
+    def test_record_without_residues_exit_2(self, tmp_path, tiny_cfg, n_real, monkeypatch,
+                                            capsys):
+        # all-no-seq rows: in the validation split they left q8 undefined after
+        # eval_every steps of training; alone they left no PSSM statistics
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a corpus with an empty record")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        rng = np.random.default_rng(1)
+        rows = [source_row(rng.integers(0, 21, size=20), rng.integers(0, 8, size=20),
+                           rng.random((20, 21))) for _ in range(n_real)]
+        rows += [source_row([], []), source_row([], [])]
+        d = tmp_path / "data"
+        d.mkdir()
+        np.save(d / "corpus.npy", np.stack(rows).reshape(len(rows), -1))
+        code = main(["train", "--config", tiny_cfg, "--data", str(d), "--out",
+                     str(tmp_path / "m.ckpt"), "--set", "n_validation=2", "--seed", "68"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {d / 'corpus.npy'}: record p{n_real:05d} has no residues\n")
 
     def test_non_finite_value_in_eval_corpus_exit_2(self, tmp_path, tiny_cfg, data_dir, capsys):
         out = run_train(tmp_path, tiny_cfg, data_dir)

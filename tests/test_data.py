@@ -149,10 +149,10 @@ class TestLoadNpyRecords:
     records ``records_from_matrix(load_npy(path))`` gives."""
 
     @staticmethod
-    def _corpus(rng, n):
+    def _corpus(rng, n, min_length=0):
         rows = []
         for i in range(n):
-            length = int(rng.integers(0, 40))
+            length = int(rng.integers(min_length, 40))
             rows.append(source_row(rng.integers(0, 21, size=length), rng.integers(0, 8, size=length),
                                    pssm=rng.standard_normal((length, 21)).astype(np.float32),
                                    junk_seed=i))
@@ -209,7 +209,7 @@ class TestLoadNpyRecords:
         stays under half the payload (it was the whole payload)."""
         from chaincnn.cli import load_records
 
-        mat = self._corpus(rng, 64)
+        mat = self._corpus(rng, 64, min_length=1)  # ``load_records`` rejects empty records
         np.save(tmp_path / "corpus.npy", mat)
         tracemalloc.start()
         try:

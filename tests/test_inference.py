@@ -450,49 +450,84 @@ class TestDecodeWorkers:
         assert decode_workers(10) == 2
 
 
+def each_on_pool(fn, items):
+    """One call of ``each`` from a direct ``worker_threads(idle_cores())``:
+    the pool entry point ensemble members use, beside ``map_records``."""
+    with inference.worker_threads(inference.idle_cores()) as each:
+        return each(fn, list(items))
+
+
+ENTRY_POINTS = (map_records, each_on_pool)
+
+
 class TestMapRecords:
-    """Three workers: the calling thread plus two pool threads."""
+    """The decode pool, through ``map_records`` and through a direct ``each``.
+
+    Three workers: the calling thread plus two pool threads."""
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         force_workers(monkeypatch, 1)
         before = threading.active_count()
-        seen = []
-        out = map_records(lambda r: seen.append((threading.get_ident(),
-                                                 threading.active_count())) or r + 1, range(5))
-        assert out == [1, 2, 3, 4, 5]
-        assert seen == [(threading.get_ident(), before)] * 5
+        for run in ENTRY_POINTS:
+            seen = []
+            out = run(lambda r: seen.append((threading.get_ident(),
+                                             threading.active_count())) or r + 1, range(5))
+            assert out == [1, 2, 3, 4, 5]
+            assert seen == [(threading.get_ident(), before)] * 5
 
     def test_order_kept_and_caller_decodes(self, monkeypatch):
         force_workers(monkeypatch, 3)
         before = threading.active_count()
-        barrier = threading.Barrier(3, timeout=30)
-        seen = []
+        for run in ENTRY_POINTS:
+            barrier = threading.Barrier(3, timeout=30)
+            seen = []
 
-        def fn(r):
-            if r < 3:  # the first three records run at once, one per worker
-                barrier.wait()
-            seen.append((threading.get_ident(), threading.active_count()))
-            time.sleep(0.001 * (r % 4))  # finish out of order
-            return r * r
+            def fn(r):
+                if r < 3:  # the first three records run at once, one per worker
+                    barrier.wait()
+                seen.append((threading.get_ident(), threading.active_count()))
+                time.sleep(0.001 * (r % 4))  # finish out of order
+                return r * r
 
-        assert map_records(fn, range(30)) == [r * r for r in range(30)]
-        idents = {ident for ident, _ in seen}
-        assert len(idents) == 3 and threading.get_ident() in idents
-        assert max(count for _, count in seen) <= before + 2
-        assert threading.active_count() == before
+            assert run(fn, range(30)) == [r * r for r in range(30)]
+            idents = {ident for ident, _ in seen}
+            assert len(idents) == 3 and threading.get_ident() in idents
+            assert max(count for _, count in seen) <= before + 2
+            assert threading.active_count() == before
 
     def test_stress_each_record_once(self, monkeypatch):
         # a lost update on the shared counter would skip or repeat a record
         force_workers(monkeypatch, 3)
-        calls = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = map_records(lambda r: calls.append(r) or -r, range(3000))
+            for run in ENTRY_POINTS:
+                calls = []
+                out = run(lambda r: calls.append(r) or -r, range(3000))
+                assert out == [-r for r in range(3000)]
+                assert sorted(calls) == list(range(3000))
         finally:
             sys.setswitchinterval(interval)
-        assert out == [-r for r in range(3000)]
-        assert sorted(calls) == list(range(3000))
+
+    def test_threads_start_once_per_context(self):
+        before = threading.active_count()
+        barrier = threading.Barrier(3, timeout=30)
+        workers = set()
+
+        def fn(r, meet=False):
+            workers.add(threading.current_thread())
+            if meet:
+                barrier.wait()
+            return r
+
+        with inference.worker_threads(3) as each:
+            assert threading.active_count() == before  # nothing starts before the first call
+            assert each(lambda r: fn(r, meet=True), range(3)) == [0, 1, 2]  # all three at once
+            for _ in range(50):
+                assert each(fn, range(6)) == list(range(6))
+                assert threading.active_count() == before + 2
+        assert threading.current_thread() in workers and len(workers) == 3
+        assert threading.active_count() == before
 
     def _failing(self, fails, exc=ValueError):
         """fn whose first three records start together, then ``fails``
@@ -513,34 +548,38 @@ class TestMapRecords:
 
     def test_no_record_starts_after_a_failure(self, monkeypatch):
         force_workers(monkeypatch, 3)
-        fn, started = self._failing({1})
-        with pytest.raises(ValueError) as err:
-            map_records(fn, range(20))
-        assert err.value.args == (1,)
-        assert sorted(started) == [0, 1, 2]
+        for run in ENTRY_POINTS:
+            fn, started = self._failing({1})
+            with pytest.raises(ValueError) as err:
+                run(fn, range(20))
+            assert err.value.args == (1,)
+            assert sorted(started) == [0, 1, 2]
 
     def test_lowest_failing_index_wins(self, monkeypatch):
         force_workers(monkeypatch, 3)
-        fn, started = self._failing({0, 1, 2})
-        with pytest.raises(ValueError) as err:
-            map_records(fn, range(20))
-        assert err.value.args == (0,)
-        assert sorted(started) == [0, 1, 2]
+        for run in ENTRY_POINTS:
+            fn, started = self._failing({0, 1, 2})
+            with pytest.raises(ValueError) as err:
+                run(fn, range(20))
+            assert err.value.args == (0,)
+            assert sorted(started) == [0, 1, 2]
 
     def test_keyboard_interrupt_stops_new_records(self, monkeypatch):
         force_workers(monkeypatch, 3)
         before = threading.active_count()
-        fn, started = self._failing({2}, KeyboardInterrupt)
-        with pytest.raises(KeyboardInterrupt):
-            map_records(fn, range(20))
-        assert sorted(started) == [0, 1, 2]
-        assert threading.active_count() == before
+        for run in ENTRY_POINTS:
+            fn, started = self._failing({2}, KeyboardInterrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run(fn, range(20))
+            assert sorted(started) == [0, 1, 2]
+            assert threading.active_count() == before
 
     def test_serial_exception_surfaces(self, monkeypatch):
         for workers in (1, 3):
             force_workers(monkeypatch, workers)
-            with pytest.raises(ZeroDivisionError):
-                map_records(lambda r: 1 // (r - 7), range(12))
+            for run in ENTRY_POINTS:
+                with pytest.raises(ZeroDivisionError):
+                    run(lambda r: 1 // (r - 7), range(12))
 
 
 def mixed_records():
@@ -702,7 +741,7 @@ class TestMemberThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with inference.member_threads(3) as each:
+            with inference.worker_threads(3) as each:
                 for n in range(1, 300):
                     assert each(lambda m: -m, range(n % 7 + 1)) == [-m for m in range(n % 7 + 1)]
         finally:
