@@ -43,8 +43,7 @@ from .inference import (
     Ensemble,
     beam_search,
     decode_independent,
-    map_records,
-    member_workers,
+    worker_threads,
 )
 from .metrics import confusion_matrix, render_report
 from .model import BlockSpec, ModelConfig, build
@@ -294,15 +293,14 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
 
 def _decode_all(ensemble: Ensemble, records, beam_width: int):
     """Labels of every record, in record order: beam search for a
-    conditioned ensemble, per-position argmax otherwise. ``map_records``
-    decodes the records on the cores BLAS leaves idle, and each record
-    scores its members on those the records leave (``member_workers``),
-    both through ``inference.worker_threads``; the labels do not depend on
-    how many."""
-    threads = member_workers(len(records), len(ensemble.members))
-    if ensemble.conditioned:
-        return map_records(lambda r: beam_search(ensemble, r, beam_width, threads), records)
-    return map_records(lambda r: decode_independent(ensemble, r, threads), records)
+    conditioned ensemble, per-position argmax otherwise. One
+    ``inference.worker_threads`` context decodes the records on the cores
+    BLAS leaves idle, and each record scores its members on the threads
+    free at the time; the labels do not depend on how many."""
+    with worker_threads() as each:
+        if ensemble.conditioned:
+            return each(lambda r: beam_search(ensemble, r, beam_width, each), records)
+        return each(lambda r: decode_independent(ensemble, r, each), records)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,15 @@ so a rescored sequence totals exactly what beam search accumulated for it.
 Ensembles average the members' log probabilities per class.
 
 Decoding runs on the cores BLAS leaves idle (``idle_cores``) through one
-thread pool, ``worker_threads``: its threads take the next item from one
-shared counter, and the results come back in item order. ``map_records``
-decodes a list of records on it, one record per thread at a time. When
-the idle cores outnumber the records, each record scores its ensemble
-members side by side on the rest (``member_workers``) through a pool of
-its own: at every beam position and in ``decode_independent``. Every
-member makes the BLAS calls it makes alone and the mean does not depend
-on member order, so the labels do not depend on any thread count.
+thread pool per decode, ``worker_threads``: each call of its ``each`` takes
+the next item from one shared counter, and the results come back in item
+order. A decode runs its records through ``each``, and each record runs its
+ensemble members through the same ``each`` (at every beam position and in
+``decode_independent``): a call borrows only the pool threads free at its
+start, so records and members together never outnumber the idle cores, and
+the threads of finished records score the members of the rest. Every
+member makes the BLAS calls it makes alone and the mean does not depend on
+member order, so the labels do not depend on any thread count.
 """
 
 import os
@@ -87,47 +88,33 @@ def idle_cores() -> int:
     return max(1, cores // blas_threads)
 
 
-def decode_workers(n_records: int) -> int:
-    """Threads ``map_records`` decodes ``n_records`` records on:
-    ``min(n_records, idle_cores())``, at least 1."""
-    return max(1, min(n_records, idle_cores()))
-
-
-def member_workers(n_records: int, n_members: int) -> int:
-    """Threads each of ``n_records`` records scores its ``n_members`` members on.
-
-    ``min(n_members, idle_cores() // decode_workers(n_records))``, at least
-    1: the cores the record threads leave idle, shared out, so records times
-    members never exceed ``idle_cores()``. One record on two idle cores
-    scores a 2-member ensemble on both; a one-member model, or more records
-    than idle cores, gets 1, the serial member loop.
-    """
-    return max(1, min(n_members, idle_cores() // decode_workers(n_records)))
-
-
 def _in_turn(fn, items) -> list:
     return [fn(x) for x in items]
 
 
 @contextmanager
-def worker_threads(threads: int):
-    """Yield ``each(fn, items)``: ``[fn(x) for x in items]``, on ``threads`` threads.
+def worker_threads():
+    """Yield ``each(fn, items)``: ``[fn(x) for x in items]`` on ``idle_cores()`` threads.
 
-    The calling thread works too, beside up to ``threads - 1`` pool threads;
-    each takes the next item index from one shared counter. The pool threads
-    start at the first call, serve every later call in the context, and are
-    joined when it exits, so a beam decode starts them once, not once per
-    position. The results come back in item order. After an item raises
-    (``KeyboardInterrupt`` too) no new item starts, the items in flight
-    finish, and the exception of the lowest failing index is raised: the one
-    the serial loop would raise. One thread starts none and runs that loop.
+    The calling thread works, beside the pool threads free when the call
+    starts, at most ``len(items) - 1`` of them; each takes the next item
+    index from one shared counter and returns to the pool when no item is
+    left. ``fn`` may call ``each`` again, as a record scoring its members
+    does; that call borrows only threads no other call holds, and with none
+    free it is the serial loop, so the threads never outnumber
+    ``idle_cores()`` and no call waits for a busy thread. The pool threads
+    start at the first call that borrows one, serve every later call in the
+    context, and are joined when it exits. The results come back in item
+    order. After an item raises (``KeyboardInterrupt`` too) no new item of
+    that call starts, the items in flight finish, and the exception of the
+    lowest failing index is raised: the one the serial loop would raise.
     """
-    if threads <= 1:
-        yield _in_turn
-        return
-    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="decode")
+    free = idle_cores() - 1
+    budget = threading.Lock()
+    pool = ThreadPoolExecutor(max(free, 1), thread_name_prefix="decode")
 
     def each(fn, items):
+        nonlocal free
         results = [None] * len(items)
         failures = {}
         lock = threading.Lock()
@@ -148,7 +135,18 @@ def worker_threads(threads: int):
                         failures[i] = err
                     return
 
-        helpers = [pool.submit(work) for _ in range(min(threads, len(items)) - 1)]
+        def helper():
+            nonlocal free
+            try:
+                work()
+            finally:
+                with budget:
+                    free += 1
+
+        with budget:  # a helper queued behind busy threads could wait on its own caller
+            borrowed = max(0, min(free, len(items) - 1))
+            free -= borrowed
+        helpers = [pool.submit(helper) for _ in range(borrowed)]
         try:
             work()
         finally:
@@ -165,13 +163,9 @@ def worker_threads(threads: int):
 
 
 def map_records(fn, records) -> list:
-    """``[fn(r) for r in records]``, run on ``decode_workers(len(records))``
-    threads through ``worker_threads``. ``fn`` may score its record's members
-    on a ``worker_threads`` context of its own; ``member_workers`` sizes it
-    so that all threads together stay within ``idle_cores()``."""
-    records = list(records)
-    with worker_threads(decode_workers(len(records))) as each:
-        return each(fn, records)
+    """``[fn(r) for r in records]``, run through one ``worker_threads`` context."""
+    with worker_threads() as each:
+        return each(fn, list(records))
 
 
 def _members(model_or_ensemble) -> tuple[Model, ...]:
@@ -262,10 +256,11 @@ def step_scores(members, rows, i: int, each=_in_turn) -> np.ndarray:
                                each)
 
 
-def decode_independent(model_or_ensemble, record: ProteinRecord, threads: int = 1) -> np.ndarray:
+def decode_independent(model_or_ensemble, record: ProteinRecord, each=_in_turn) -> np.ndarray:
     """Argmax of (ensemble-averaged) log probabilities per masked-in position.
 
-    The members run their forwards on ``threads`` threads (``worker_threads``).
+    ``each`` runs the members' forwards: in turn, or side by side when it
+    comes from ``worker_threads``.
     """
     members = _members(model_or_ensemble)
     if any(m.config.conditioned for m in members):
@@ -277,8 +272,7 @@ def decode_independent(model_or_ensemble, record: ProteinRecord, threads: int = 
     def scores(m):
         return log_softmax(m.forward(batch.features, batch.mask, train=False).data[0])
 
-    with worker_threads(threads) as each:
-        mean = _mean_over_members(each(scores, members))
+    mean = _mean_over_members(each(scores, members))
     return np.argmax(mean[:, :NUM_REAL_CLASSES], axis=1).astype(np.int64)
 
 
@@ -288,14 +282,14 @@ def _best_first(candidates):
 
 
 def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFAULT_BEAM_WIDTH,
-                threads: int = 1) -> np.ndarray:
+                each=_in_turn) -> np.ndarray:
     """Left-to-right beam decode over the 8 structure classes.
 
     Each step extends every live hypothesis by all 8 classes, scores the
     extensions by accumulated float64 log probability, and keeps the best
     ``beam_width``. Ties break toward the lexicographically smaller label
-    sequence. Returns the labels of the best complete hypothesis. The
-    members score each position on ``threads`` threads (``worker_threads``).
+    sequence. Returns the labels of the best complete hypothesis. ``each``
+    runs the members' forwards at every position, as in ``step_scores``.
     """
     members = _members(model_or_ensemble)
     if not all(m.config.conditioned for m in members):
@@ -306,15 +300,14 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
         return np.zeros(0, dtype=np.int64)
 
     beam = [(0.0, ())]  # (accumulated log_prob, labels so far)
-    with worker_threads(threads) as each:
-        for i in range(record.length):
-            scores = step_scores(members, [(record, labels) for _, labels in beam], i, each)
-            candidates = [
-                (log_prob + float(scores[h, c]), labels + (c,))
-                for h, (log_prob, labels) in enumerate(beam)
-                for c in range(NUM_REAL_CLASSES)
-            ]
-            beam = _best_first(candidates)[:beam_width]
+    for i in range(record.length):
+        scores = step_scores(members, [(record, labels) for _, labels in beam], i, each)
+        candidates = [
+            (log_prob + float(scores[h, c]), labels + (c,))
+            for h, (log_prob, labels) in enumerate(beam)
+            for c in range(NUM_REAL_CLASSES)
+        ]
+        beam = _best_first(candidates)[:beam_width]
     return np.array(beam[0][1], dtype=np.int64)
 
 

@@ -213,9 +213,6 @@ class Model:
             out.update(lp.trainable())
         return out
 
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.trainable().values())
-
     def dense_layers(self) -> list[T.LayerParams]:
         """The max-norm constrained layers: the FC stack and the output layer."""
         return [self.layers[n] for n in self._plan.head]

@@ -52,8 +52,9 @@ class TrainConfig:
                      "eval_every", "sampling_rate_every", "log_every"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ParameterError(f"patience must be >= 0, got {self.patience}")
+        for name in ("patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.sampling_rate_init <= 1.0:
             raise ParameterError(
                 f"sampling_rate_init must lie in [0, 1], got {self.sampling_rate_init}"

@@ -224,6 +224,20 @@ class TestSeedResolution:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_negative_seed_exit_1_before_data(self, tmp_path, tiny_cfg, data_dir, capsys,
+                                              monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(chaincnn.cli, "load_records", refuse)
+        out = ["--data", data_dir, "--out", str(tmp_path / "runs")]
+        for argv in (["train", "--config", tiny_cfg, "--seed", "-1"],
+                     ["train", "--config", tiny_cfg, "--set", "seed=-1"],
+                     ["ablate", "--row", "2", "--seed", "-1"]):
+            assert main(argv + out) == 1
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_set_overrides(self, tiny_cfg):
         run = load_run_config(tiny_cfg, ["batch_size=2", "dropout_rate=0.0"])
         assert run.training.batch_size == 2 and run.model.dropout_rate == 0.0

@@ -22,7 +22,6 @@ from chaincnn.inference import (
     beam_search,
     context_window,
     decode_independent,
-    decode_workers,
     ensemble_step_score,
     extract_window,
     map_records,
@@ -419,8 +418,8 @@ class TestEnsembleValidation:
 
 
 def force_workers(monkeypatch, count):
-    """Make decoding see ``count`` idle cores whatever the machine: ``map_records``
-    uses ``min(n, count)`` workers, and each record's members share the rest."""
+    """Make decoding see ``count`` idle cores whatever the machine: a
+    ``worker_threads`` context entered afterwards runs on ``count`` threads."""
     monkeypatch.setattr(inference, "idle_cores", lambda: count)
 
 
@@ -436,24 +435,31 @@ class TestDecodeWorkers:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert decode_workers(10) == expected
+        assert inference.idle_cores() == expected
 
     def test_capped_by_records(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert [decode_workers(n) for n in (0, 1, 2, 3, 4, 5)] == [1, 1, 2, 3, 4, 4]
+        # a call over n items starts at most n - 1 pool threads: the first
+        # min(n, 4) items meet at a barrier, so each needs a thread of its own
+        force_workers(monkeypatch, 4)
+        before = threading.active_count()
+        for n in range(7):
+            barrier = threading.Barrier(max(1, min(n, 4)), timeout=30)
+            with inference.worker_threads() as each:
+                each(lambda r: r < 4 and barrier.wait(), range(n))
+                assert threading.active_count() - before == max(0, min(n - 1, 3))
+            assert threading.active_count() == before
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert decode_workers(10) == 2
+        assert inference.idle_cores() == 2
 
 
 def each_on_pool(fn, items):
-    """One call of ``each`` from a direct ``worker_threads(idle_cores())``:
-    the pool entry point ensemble members use, beside ``map_records``."""
-    with inference.worker_threads(inference.idle_cores()) as each:
+    """One call of ``each`` from a direct ``worker_threads()``: the entry
+    point ``cli`` decodes through, beside ``map_records``."""
+    with inference.worker_threads() as each:
         return each(fn, list(items))
 
 
@@ -509,7 +515,8 @@ class TestMapRecords:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_start_once_per_context(self):
+    def test_threads_start_once_per_context(self, monkeypatch):
+        force_workers(monkeypatch, 3)
         before = threading.active_count()
         barrier = threading.Barrier(3, timeout=30)
         workers = set()
@@ -520,7 +527,7 @@ class TestMapRecords:
                 barrier.wait()
             return r
 
-        with inference.worker_threads(3) as each:
+        with inference.worker_threads() as each:
             assert threading.active_count() == before  # nothing starts before the first call
             assert each(lambda r: fn(r, meet=True), range(3)) == [0, 1, 2]  # all three at once
             for _ in range(50):
@@ -707,18 +714,14 @@ class TestMemberThreadParity:
 
 
 class TestMemberThreads:
-    """Records times member threads stay within the idle cores; a failing
-    member surfaces as in the serial member loop, and no thread outlives
-    the decode."""
+    """Records and their members together stay within the idle cores; a
+    failing member surfaces as in the serial member loop, and no thread
+    outlives the decode."""
 
-    @pytest.mark.parametrize("n_records, record_threads, member_threads",
-                             [(1, 1, 3), (2, 2, 2), (5, 4, 1)])
-    def test_live_threads_within_idle_cores(self, n_records, record_threads, member_threads,
-                                            monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("n_records", [1, 2, 5])
+    def test_live_threads_within_idle_cores(self, n_records, monkeypatch, tmp_path, capsys):
         setup = ensemble_on_disk(tmp_path, mixed_records()[:n_records], True, 3)
         force_workers(monkeypatch, 4)
-        assert inference.decode_workers(n_records) == record_threads
-        assert inference.member_workers(n_records, 3) == member_threads
         before = threading.active_count()
         live, idents, lock = [], set(), threading.Lock()
         original = Model.forward_window
@@ -733,15 +736,53 @@ class TestMemberThreads:
         cli_outputs(setup, capsys)
         assert max(live) <= 4
         assert threading.active_count() == before
-        if n_records == 1:  # the caller scores member 0, workers the others
+        if n_records == 1:  # the caller's one record borrows the idle pool threads
             assert threading.get_ident() in idents and len(idents) >= 2
 
-    def test_stress_results_in_member_order(self):
+    def test_one_budget_nested(self, monkeypatch):
+        # records call the same ``each`` over their members, as a decode
+        # does; record 0 scores 60 positions, the other five one each
+        for k in (1, 2, 3, 4):
+            force_workers(monkeypatch, k)
+            before = threading.active_count()
+            lock = threading.Lock()
+            live, late = [], set()
+            short_done = 0
+
+            def member(m):
+                with lock:
+                    live.append(threading.active_count() - before + 1)
+                time.sleep(0.002)
+                return m, threading.get_ident()
+
+            def record(r):
+                nonlocal short_done
+                for _ in range(60 if r == 0 else 1):
+                    with lock:
+                        after_shorts = short_done == 5
+                    scored = each(member, range(3))
+                    assert [m for m, _ in scored] == [0, 1, 2]
+                    if r == 0 and after_shorts:
+                        late.update(ident for _, ident in scored)
+                if r:
+                    with lock:
+                        short_done += 1
+                return -r
+
+            with inference.worker_threads() as each:
+                assert each(record, range(6)) == [-r for r in range(6)]
+            assert max(live) <= k
+            assert threading.active_count() == before
+            if k >= 3:  # a thread that finished its records helps the long one
+                assert len(late) > 1
+
+    def test_stress_results_in_member_order(self, monkeypatch):
         # a result filed under the wrong member would break the order
+        force_workers(monkeypatch, 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with inference.worker_threads(3) as each:
+            with inference.worker_threads() as each:
                 for n in range(1, 300):
                     assert each(lambda m: -m, range(n % 7 + 1)) == [-m for m in range(n % 7 + 1)]
         finally:
@@ -785,8 +826,9 @@ class TestMemberThreads:
         decode = beam_search if conditioned else decode_independent
         record = mixed_records()[0]
         before = threading.active_count()
-        for threads in (1, 3):
-            with pytest.raises(exc) as err:
-                decode(Ensemble(models), record, *([3] if conditioned else []), threads=threads)
+        for workers in (1, 3):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(exc) as err, inference.worker_threads() as each:
+                decode(Ensemble(models), record, *([3] if conditioned else []), each=each)
             assert err.value.args == (lowest,)
             assert threading.active_count() == before
