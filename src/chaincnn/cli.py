@@ -41,9 +41,8 @@ from .errors import (
 from .inference import (
     DEFAULT_BEAM_WIDTH,
     Ensemble,
-    beam_search,
-    decode_independent,
-    worker_threads,
+    beam_search,  # noqa: F401  unused here; benchmarks/ traces chaincnn.cli.beam_search
+    decode_records,
 )
 from .metrics import confusion_matrix, render_report
 from .model import BlockSpec, ModelConfig, build
@@ -291,18 +290,6 @@ def _load_ensemble(paths) -> tuple[Ensemble, list[RunConfig]]:
     return Ensemble(tuple(models)), runs
 
 
-def _decode_all(ensemble: Ensemble, records, beam_width: int):
-    """Labels of every record, in record order: beam search for a
-    conditioned ensemble, per-position argmax otherwise. One
-    ``inference.worker_threads`` context decodes the records on the cores
-    BLAS leaves idle, and each record scores its members on the threads
-    free at the time; the labels do not depend on how many."""
-    with worker_threads() as each:
-        if ensemble.conditioned:
-            return each(lambda r: beam_search(ensemble, r, beam_width, each), records)
-        return each(lambda r: decode_independent(ensemble, r, each), records)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -365,7 +352,7 @@ def cmd_eval(args) -> int:
                     f"{path} was trained on another validation split than {args.ckpt[0]} "
                     "(seed, n_validation or data differ); use --split test")
         chosen = prepare_split(run, data_dir).validation
-    preds = _decode_all(ensemble, chosen, args.beam_width)
+    preds = decode_records(ensemble, chosen, args.beam_width)
     report = render_report(confusion_matrix(preds, chosen), digits=None if args.raw else 3)
     print(report, end="")
     return 0
@@ -375,7 +362,7 @@ def cmd_predict(args) -> int:
     _check_output(args.output)
     ensemble, _ = _load_ensemble(args.ckpt)
     records = load_native(args.input)
-    preds = _decode_all(ensemble, records, args.beam_width)
+    preds = decode_records(ensemble, records, args.beam_width)
     lines = (f"{record.id}\t{labels_to_string(pred)}\n" for record, pred in zip(records, preds))
     write_atomic(args.output, "".join(lines).encode("utf-8"))
     print(f"wrote {len(records)} predictions to {args.output}")
@@ -392,6 +379,13 @@ def cmd_ablate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+def positive_int(text: str) -> int:
+    """Type of ``--beam-width``: argparse rejects a width below 1 before any file is read."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -416,7 +410,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="one checkpoint, or several to form an ensemble")
     p.add_argument("--data", help="directory with corpus and optional test files")
     p.add_argument("--split", choices=("validation", "test"), default="validation")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH,
+    p.add_argument("--beam-width", type=positive_int, default=DEFAULT_BEAM_WIDTH,
                    help="beam width for conditioned models")
     p.add_argument("--raw", action="store_true",
                    help="print raw doubles instead of 3-decimal rounding")
@@ -425,7 +419,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", nargs="+", required=True)
     p.add_argument("--input", required=True, help="native-format fixture file")
     p.add_argument("--output", required=True, help="destination for id<TAB>letters lines")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--beam-width", type=positive_int, default=DEFAULT_BEAM_WIDTH)
 
     p = sub.add_parser("ablate", help="train one row of the ablation ladder")
     p.add_argument("--row", type=int, required=True, help="ladder row, 1..9")

@@ -16,16 +16,17 @@ per position, and the tests check its scores equal to this window path's,
 so a rescored sequence totals exactly what beam search accumulated for it.
 Ensembles average the members' log probabilities per class.
 
-Decoding runs on the cores BLAS leaves idle (``idle_cores``) through one
-thread pool per decode, ``worker_threads``: each call of its ``each`` takes
-the next item from one shared counter, and the results come back in item
-order. A decode runs its records through ``each``, and each record runs its
-ensemble members through the same ``each`` (at every beam position and in
-``decode_independent``): a call borrows only the pool threads free at its
-start, so records and members together never outnumber the idle cores, and
-the threads of finished records score the members of the rest. Every
-member makes the BLAS calls it makes alone and the mean does not depend on
-member order, so the labels do not depend on any thread count.
+``decode_records`` decodes every record set (``eval``, ``predict``,
+validation, snapshot re-ranking) on the cores BLAS leaves idle
+(``idle_cores``) through one thread pool, ``worker_threads``: each call of
+its ``each`` takes the next item from one shared counter, and the results
+come back in item order. The records run through ``each``, and each record
+runs its ensemble members through the same ``each`` (at every beam position
+and in ``decode_independent``): a call borrows only the pool threads free
+at its start, so records and members together never outnumber the idle
+cores, and the threads of finished records score the members of the rest.
+Every member makes the BLAS calls it makes alone and the mean does not
+depend on member order, so the labels do not depend on any thread count.
 """
 
 import os
@@ -56,10 +57,6 @@ class Ensemble:
         first = self.members[0].config
         if any(m.config != first for m in self.members[1:]):  # conditioning mode included
             raise ModeError("ensemble members must share one architecture")
-
-    @property
-    def conditioned(self) -> bool:
-        return self.members[0].config.conditioned
 
 
 def idle_cores() -> int:
@@ -160,12 +157,6 @@ def worker_threads():
 
     with pool:  # joins the pool threads on exit
         yield each
-
-
-def map_records(fn, records) -> list:
-    """``[fn(r) for r in records]``, run through one ``worker_threads`` context."""
-    with worker_threads() as each:
-        return each(fn, list(records))
 
 
 def _members(model_or_ensemble) -> tuple[Model, ...]:
@@ -309,6 +300,18 @@ def beam_search(model_or_ensemble, record: ProteinRecord, beam_width: int = DEFA
         ]
         beam = _best_first(candidates)[:beam_width]
     return np.array(beam[0][1], dtype=np.int64)
+
+
+def decode_records(model_or_ensemble, records, beam_width: int = DEFAULT_BEAM_WIDTH) -> list:
+    """Labels of every record, in record order: ``beam_search`` for
+    conditioned models, per-position argmax (``decode_independent``)
+    otherwise. One ``worker_threads`` context decodes the records on the
+    cores BLAS leaves idle, and each record scores its members on the
+    threads free at the time; the labels do not depend on how many."""
+    with worker_threads() as each:
+        if _members(model_or_ensemble)[0].config.conditioned:
+            return each(lambda r: beam_search(model_or_ensemble, r, beam_width, each), records)
+        return each(lambda r: decode_independent(model_or_ensemble, r, each), records)
 
 
 def sequence_log_prob(model_or_ensemble, record: ProteinRecord, labels) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import chaincnn.tensor as T
 from .data import NOSEQ_CLASS, NUM_REAL_CLASSES, Batch, DatasetSplit, make_batch
 from .errors import CheckpointError, NonFiniteError, ParameterError
-from .inference import beam_search, decode_independent, map_records
+from .inference import decode_records, worker_threads
 from .metrics import q8 as metrics_q8
 from .model import Model, Stepper
 
@@ -127,31 +127,31 @@ def scheduled_sampling_pass(model, batch: Batch, rate: float, rng) -> np.ndarray
 
 def evaluate_q8(model, records) -> float:
     """Validation Q8 of per-position argmax predictions, one record per
-    forward in infer mode, counted by ``metrics.q8``. ``inference.map_records``
-    decodes the records on the cores BLAS leaves idle; the value does not
-    depend on how many.
+    forward in infer mode, counted by ``metrics.q8``. The records decode on
+    the cores BLAS leaves idle; the value does not depend on how many.
 
-    An unconditioned model decodes through ``decode_independent``. A
+    An unconditioned model decodes through ``inference.decode_records``. A
     conditioned one is scored teacher-forced, with ``model.label_context``
-    of the record's ground-truth labels as context: the cheap next-step
-    accuracy that early stopping watches.
+    of the record's ground-truth labels as context, on its own
+    ``worker_threads`` context: the cheap next-step accuracy that early
+    stopping watches.
     """
     if not model.config.conditioned:
-        return metrics_q8(map_records(lambda r: decode_independent(model, r), records), records)
+        return metrics_q8(decode_records(model, records), records)
 
     def teacher_forced(r):
         batch = make_batch([r], length=max(r.length, 1))
         logits = model.forward(batch.features, batch.mask, model.label_context(batch.labels))
         return logits.data[0, : r.length, :NUM_REAL_CLASSES].argmax(axis=1)
 
-    return metrics_q8(map_records(teacher_forced, records), records)
+    with worker_threads() as each:
+        return metrics_q8(each(teacher_forced, records), records)
 
 
 def beam_q8(model, records) -> float:
     """Validation Q8 under full beam-search decoding at the default width,
-    the records decoded through ``inference.map_records`` as in
-    ``evaluate_q8``."""
-    return metrics_q8(map_records(lambda r: beam_search(model, r), records), records)
+    the records decoded through ``inference.decode_records``."""
+    return metrics_q8(decode_records(model, records), records)
 
 
 # ---------------------------------------------------------------------------

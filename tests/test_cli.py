@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chaincnn.cli
+import chaincnn.inference
 from chaincnn.cli import (
     _ALL_KEYS,
     RunConfig,
@@ -25,6 +26,7 @@ from chaincnn.metrics import q8
 from chaincnn.model import BlockSpec
 from chaincnn.training import TrainConfig, load_checkpoint, save_checkpoint
 from corpus import markov_corpus, rule_corpus, shipped_model, source_row
+from test_inference import ensemble_on_disk, mixed_records
 from test_training import CONV, FC
 
 TINY_CFG = """\
@@ -660,8 +662,8 @@ class TestPredictCommand:
         def no_decoding(*args, **kwargs):
             raise AssertionError("decoded before checking the output path")
 
-        monkeypatch.setattr(chaincnn.cli, "beam_search", no_decoding)
-        monkeypatch.setattr(chaincnn.cli, "decode_independent", no_decoding)
+        monkeypatch.setattr(chaincnn.inference, "beam_search", no_decoding)
+        monkeypatch.setattr(chaincnn.inference, "decode_independent", no_decoding)
         if where == "directory":
             dest = tmp_path / "preds"
             dest.mkdir()
@@ -944,3 +946,23 @@ class TestUsage:
 
     def test_missing_command_rejected(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    @pytest.mark.parametrize("conditioned", [True, False])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_beam_width_below_one_exit_1_before_loading(self, tmp_path, command, conditioned,
+                                                        width, monkeypatch, capsys):
+        setup = ensemble_on_disk(tmp_path, mixed_records()[:2], conditioned, 1)
+
+        def refuse(*args):
+            raise AssertionError("a checkpoint was read")
+
+        monkeypatch.setattr(chaincnn.cli, "load_checkpoint", refuse)
+        dest = tmp_path / "preds.txt"
+        args = {"eval": ["--raw"],
+                "predict": ["--input", setup.dir + "/corpus.txt", "--output", str(dest)]}
+        assert main([command, "--ckpt", *setup.ckpts, *args[command],
+                     "--beam-width", width]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --beam-width: invalid positive_int value: '{width}'" in err
+        assert not dest.exists()

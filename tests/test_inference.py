@@ -11,7 +11,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import chaincnn.cli as cli
 import chaincnn.inference as inference
 import chaincnn.tensor
 from chaincnn.cli import load_run_config, main, render_config
@@ -22,9 +21,9 @@ from chaincnn.inference import (
     beam_search,
     context_window,
     decode_independent,
+    decode_records,
     ensemble_step_score,
     extract_window,
-    map_records,
     sequence_log_prob,
     step_scores,
 )
@@ -457,49 +456,44 @@ class TestDecodeWorkers:
 
 
 def each_on_pool(fn, items):
-    """One call of ``each`` from a direct ``worker_threads()``: the entry
-    point ``cli`` decodes through, beside ``map_records``."""
+    """One call of ``each`` from a direct ``worker_threads()``, as
+    ``decode_records`` maps its records."""
     with inference.worker_threads() as each:
         return each(fn, list(items))
 
 
-ENTRY_POINTS = (map_records, each_on_pool)
-
-
 class TestMapRecords:
-    """The decode pool, through ``map_records`` and through a direct ``each``.
+    """The decode pool mapping records through one call of ``each``.
 
     Three workers: the calling thread plus two pool threads."""
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         force_workers(monkeypatch, 1)
         before = threading.active_count()
-        for run in ENTRY_POINTS:
-            seen = []
-            out = run(lambda r: seen.append((threading.get_ident(),
-                                             threading.active_count())) or r + 1, range(5))
-            assert out == [1, 2, 3, 4, 5]
-            assert seen == [(threading.get_ident(), before)] * 5
+        seen = []
+        out = each_on_pool(lambda r: seen.append((threading.get_ident(),
+                                                  threading.active_count())) or r + 1, range(5))
+        assert out == [1, 2, 3, 4, 5]
+        assert seen == [(threading.get_ident(), before)] * 5
 
     def test_order_kept_and_caller_decodes(self, monkeypatch):
         force_workers(monkeypatch, 3)
         before = threading.active_count()
-        for run in ENTRY_POINTS:
-            barrier = threading.Barrier(3, timeout=30)
-            seen = []
+        barrier = threading.Barrier(3, timeout=30)
+        seen = []
 
-            def fn(r):
-                if r < 3:  # the first three records run at once, one per worker
-                    barrier.wait()
-                seen.append((threading.get_ident(), threading.active_count()))
-                time.sleep(0.001 * (r % 4))  # finish out of order
-                return r * r
+        def fn(r):
+            if r < 3:  # the first three records run at once, one per worker
+                barrier.wait()
+            seen.append((threading.get_ident(), threading.active_count()))
+            time.sleep(0.001 * (r % 4))  # finish out of order
+            return r * r
 
-            assert run(fn, range(30)) == [r * r for r in range(30)]
-            idents = {ident for ident, _ in seen}
-            assert len(idents) == 3 and threading.get_ident() in idents
-            assert max(count for _, count in seen) <= before + 2
-            assert threading.active_count() == before
+        assert each_on_pool(fn, range(30)) == [r * r for r in range(30)]
+        idents = {ident for ident, _ in seen}
+        assert len(idents) == 3 and threading.get_ident() in idents
+        assert max(count for _, count in seen) <= before + 2
+        assert threading.active_count() == before
 
     def test_stress_each_record_once(self, monkeypatch):
         # a lost update on the shared counter would skip or repeat a record
@@ -507,11 +501,10 @@ class TestMapRecords:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for run in ENTRY_POINTS:
-                calls = []
-                out = run(lambda r: calls.append(r) or -r, range(3000))
-                assert out == [-r for r in range(3000)]
-                assert sorted(calls) == list(range(3000))
+            calls = []
+            out = each_on_pool(lambda r: calls.append(r) or -r, range(3000))
+            assert out == [-r for r in range(3000)]
+            assert sorted(calls) == list(range(3000))
         finally:
             sys.setswitchinterval(interval)
 
@@ -555,38 +548,34 @@ class TestMapRecords:
 
     def test_no_record_starts_after_a_failure(self, monkeypatch):
         force_workers(monkeypatch, 3)
-        for run in ENTRY_POINTS:
-            fn, started = self._failing({1})
-            with pytest.raises(ValueError) as err:
-                run(fn, range(20))
-            assert err.value.args == (1,)
-            assert sorted(started) == [0, 1, 2]
+        fn, started = self._failing({1})
+        with pytest.raises(ValueError) as err:
+            each_on_pool(fn, range(20))
+        assert err.value.args == (1,)
+        assert sorted(started) == [0, 1, 2]
 
     def test_lowest_failing_index_wins(self, monkeypatch):
         force_workers(monkeypatch, 3)
-        for run in ENTRY_POINTS:
-            fn, started = self._failing({0, 1, 2})
-            with pytest.raises(ValueError) as err:
-                run(fn, range(20))
-            assert err.value.args == (0,)
-            assert sorted(started) == [0, 1, 2]
+        fn, started = self._failing({0, 1, 2})
+        with pytest.raises(ValueError) as err:
+            each_on_pool(fn, range(20))
+        assert err.value.args == (0,)
+        assert sorted(started) == [0, 1, 2]
 
     def test_keyboard_interrupt_stops_new_records(self, monkeypatch):
         force_workers(monkeypatch, 3)
         before = threading.active_count()
-        for run in ENTRY_POINTS:
-            fn, started = self._failing({2}, KeyboardInterrupt)
-            with pytest.raises(KeyboardInterrupt):
-                run(fn, range(20))
-            assert sorted(started) == [0, 1, 2]
-            assert threading.active_count() == before
+        fn, started = self._failing({2}, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            each_on_pool(fn, range(20))
+        assert sorted(started) == [0, 1, 2]
+        assert threading.active_count() == before
 
     def test_serial_exception_surfaces(self, monkeypatch):
         for workers in (1, 3):
             force_workers(monkeypatch, workers)
-            for run in ENTRY_POINTS:
-                with pytest.raises(ZeroDivisionError):
-                    run(lambda r: 1 // (r - 7), range(12))
+            with pytest.raises(ZeroDivisionError):
+                each_on_pool(lambda r: 1 // (r - 7), range(12))
 
 
 def mixed_records():
@@ -662,7 +651,8 @@ class TestParallelDecodeParity:
         assert values() == serial
 
     def test_error_surfaces_as_in_the_serial_loop(self, setup, monkeypatch, capsys):
-        original = {name: getattr(cli, name) for name in ("beam_search", "decode_independent")}
+        original = {name: getattr(inference, name)
+                    for name in ("beam_search", "decode_independent")}
 
         def failing(name):
             def fn(ensemble, record, *args):
@@ -672,7 +662,7 @@ class TestParallelDecodeParity:
             return fn
 
         for name in original:
-            monkeypatch.setattr(cli, name, failing(name))
+            monkeypatch.setattr(inference, name, failing(name))
         dest = setup.tmp / "preds.txt"
         argv = ["predict", "--ckpt", *setup.ckpts, "--input", setup.dir + "/corpus.txt",
                 "--output", str(dest), "--beam-width", "3"]
@@ -681,6 +671,30 @@ class TestParallelDecodeParity:
             force_workers(monkeypatch, workers)
             outcomes.append((main(argv), capsys.readouterr().err, dest.exists()))
         assert outcomes[0] == outcomes[1] == (3, "error: record mix03 overflowed\n", False)
+
+
+class TestDecodeRecords:
+    """``decode_records`` returns the per-record decoder's labels in record
+    order, on one core and on three.
+
+    Each record and each member makes the same BLAS calls at any thread
+    count, so this holds on every BLAS core."""
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("conditioned", [True, False])
+    def test_equals_per_record_decode(self, conditioned, members, cores, monkeypatch):
+        models = tuple(randomized_stats_model(small_config(conditioned), 60 + k)
+                       for k in range(members))
+        decoded = models[0] if members == 1 else Ensemble(models)
+        decode = beam_search if conditioned else decode_independent
+        records = mixed_records()
+        want = [decode(decoded, r) for r in records]
+        force_workers(monkeypatch, cores)
+        got = decode_records(decoded, records)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestMemberThreadParity:
