@@ -324,7 +324,7 @@ def _train_and_save(run: RunConfig, out_path: str, make_dir: bool = False) -> in
     model.buffers["input_norm.pssm_std"].data[...] = std
     ckpt = train(model, split, run.training, log=print)
     save_checkpoint(ckpt, out_path)
-    write_atomic(out_path + ".cfg", render_config(run).encode("utf-8"))
+    write_atomic(out_path + ".cfg", [render_config(run).encode("utf-8")])
     print(f"wrote {out_path} (iteration {ckpt.iteration}), "
           f"best validation q8 {ckpt.best_validation_q8:.6f}")
     return 0
@@ -363,8 +363,9 @@ def cmd_predict(args) -> int:
     ensemble, _ = _load_ensemble(args.ckpt)
     records = load_native(args.input)
     preds = decode_records(ensemble, records, args.beam_width)
-    lines = (f"{record.id}\t{labels_to_string(pred)}\n" for record, pred in zip(records, preds))
-    write_atomic(args.output, "".join(lines).encode("utf-8"))
+    lines = (f"{record.id}\t{labels_to_string(pred)}\n".encode("utf-8")
+             for record, pred in zip(records, preds))
+    write_atomic(args.output, lines)
     print(f"wrote {len(records)} predictions to {args.output}")
     return 0
 

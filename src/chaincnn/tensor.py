@@ -3,18 +3,29 @@
 Deliberately minimal: only the layer set the sequence labelers need. Ops
 build a graph of closures; calling ``backward`` on the result walks the
 graph in reverse topological order and accumulates gradients into every
-tensor that asked for them. As in PyTorch's autograd, an op keeps its
-inputs and closure only when one of them requires a gradient, so ops on
+tensor that asked for them. As in PyTorch's autograd, an op records a
+graph node only when one of its inputs requires a gradient, so ops on
 gradient-free tensors (inference) record no graph, and each intermediate
-is freed as soon as the next op replaces it. A graph is single-use: the
-walk frees each op node (a tensor with parents) as soon as its closure
-has run, so it keeps its ``data`` but loses its gradient, closure and
-parents, and with them every activation only the closure still held.
-Leaves (tensors without parents: parameters and inputs) keep their
-gradients. A later walk that reaches a freed node, a second ``backward``
-or one through a tensor built on it, raises ``ModeError``. Data and
-gradients are float32 throughout; loss and statistic reductions run
-their sums in float64 before rounding back.
+is freed as soon as the next op replaces it.
+
+A graph holds only what backward reads. A node (``_Node``) is an op
+output's graph state, kept apart from its ``data``: the nodes of its
+gradient-requiring parents, its backward closure and its gradient.
+Children link to nodes, not to tensors, and each closure saves just the
+arrays its gradient formulas read (say a bool ``x > 0`` for ``relu``,
+``xhat`` and ``inv`` for ``batch_norm``, the padded input for ``conv1d``
+only when its filter needs a gradient). So an op output that no backward
+reads, such as a batch-norm or ReLU output, is freed during the forward
+once the next op has consumed it.
+
+A graph is single-use: the walk frees each op node as soon as its
+closure has run, so the node loses its gradient, closure and parents,
+and with them every array only the closure still held; the tensor keeps
+its ``data``. Leaves (tensors without parents: parameters and inputs)
+keep their gradients. A later walk that reaches a freed node, a second
+``backward`` or one through a tensor built on it, raises ``ModeError``.
+Data and gradients are float32 throughout; loss and statistic reductions
+run their sums in float64 before rounding back.
 """
 
 from __future__ import annotations
@@ -46,17 +57,58 @@ BIAS_INIT = 0.1
 _MAX_NORM_SLACK = 1e-6
 
 
-class Tensor:
-    """A float32 array plus an optional gradient buffer."""
+class _Node:
+    """A gradient-requiring tensor's place in the graph: the nodes of its
+    gradient-requiring parents, its backward closure and its accumulated
+    gradient. Children link to their parents' nodes, never to the parent
+    tensors, so an op output's ``data`` is freed with the tensor unless a
+    closure saved it. A node refers to no tensor, its own included."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("_parents", "_backward", "grad")
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+        self.grad = None
+
+
+class Tensor:
+    """A float32 array plus, when it requires a gradient, its graph node.
+
+    ``grad``, ``_parents`` (the parents' nodes) and ``_backward`` read the
+    node; a tensor that requires no gradient has none and reads ``None``,
+    ``()`` and ``None``."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float32)
-        self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents) if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        self._node = _Node(nodes, backward) if requires_grad or nodes else None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -71,23 +123,27 @@ class Tensor:
         ``seed`` defaults to ones and must match this tensor's shape; pass
         an explicit cotangent to differentiate a non-scalar output.
 
-        The walk consumes the graph. Once a node's closure has run, the
-        node drops its ``grad``, closure and parents, so each intermediate
-        activation and gradient is freed after its last consumer used it,
-        and this tensor itself ends with ``grad`` None. Leaves keep their
-        gradients. Reaching a consumed node, by calling ``backward`` twice
-        or through a tensor built on a consumed one, raises ``ModeError``
-        before any gradient is touched; run the forward again instead.
+        The walk runs over graph nodes and consumes the graph. Once a
+        node's closure has run, the node drops its ``grad``, closure and
+        parents, so each saved activation and intermediate gradient is
+        freed after its last consumer used it, and this tensor itself ends
+        with ``grad`` None. Leaves keep their gradients. Reaching a consumed
+        node, by calling ``backward`` twice or through a tensor built on a
+        consumed one, raises ``ModeError`` before any gradient is touched;
+        run the forward again instead.
         """
         if seed is None:
             seed = np.ones_like(self.data)
         seed = np.asarray(seed, dtype=np.float32)
         if seed.shape != self.data.shape:
             raise ShapeError(f"seed shape {seed.shape} != tensor shape {self.data.shape}")
+        root = self._node
+        if root is None:
+            return
 
-        order: list[Tensor] = []
+        order: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -104,7 +160,7 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        _accum(self, seed)
+        _accum(root, seed)
         while order:
             node = order.pop()
             if node._parents:
@@ -113,10 +169,11 @@ class Tensor:
                 node.grad = node._backward = node._parents = None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: _Node | None, g: np.ndarray) -> None:
+    """Add ``g`` to ``node``'s gradient; a parent without a node takes none."""
+    if node is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 @dataclass
@@ -173,9 +230,11 @@ def init_bias(shape) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
+    xn = x._node
+    positive = x.data > 0.0 if xn is not None else None
 
     def backward(g):
-        _accum(x, g * (x.data > 0.0))
+        _accum(xn, g * positive)
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -187,9 +246,10 @@ def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"mask shape {m.shape} != leading dims {x.data.shape[:2]}")
     m3 = m[:, :, None]
     out_data = x.data * m3
+    xn = x._node
 
     def backward(g):
-        _accum(x, g * m3)
+        _accum(xn, g * m3)
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -205,12 +265,13 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
         if p.data.shape[:-1] != lead:
             raise ShapeError("concat operands disagree on leading dims")
     out_data = np.concatenate([p.data for p in parts], axis=-1)
+    nodes = [p._node for p in parts]
     widths = [p.data.shape[-1] for p in parts]
 
     def backward(g):
         start = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[..., start : start + w])
+        for pn, w in zip(nodes, widths):
+            _accum(pn, g[..., start : start + w])
             start += w
 
     return Tensor(out_data, parents=tuple(parts), backward=backward)
@@ -232,12 +293,13 @@ def gather_windows(x: Tensor, width: int) -> Tensor:
     xp = np.zeros((b, length + 2 * r, ch), dtype=np.float32)
     xp[:, r : r + length] = x.data
     out_data = np.concatenate([xp[:, w : w + length] for w in range(width)], axis=-1)
+    xn, padded = x._node, xp.shape
 
     def backward(g):
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(padded, dtype=np.float32)
         for w in range(width):
             dxp[:, w : w + length] += g[..., w * ch : (w + 1) * ch]
-        _accum(x, dxp[:, r : r + length])
+        _accum(xn, dxp[:, r : r + length])
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -276,21 +338,25 @@ def conv1d(x: Tensor, filt: Tensor, bias: Tensor) -> Tensor:
     out_data = np.broadcast_to(bias.data, (b, length, out_ch)).copy()
     for w in range(width):
         out_data += xp[:, w : w + length] @ filt.data[w]
+    xn, fn, bn, padded = x._node, filt._node, bias._node, xp.shape
+    # the filter gradient reads the padded input, the input gradient the filter
+    saved_xp = xp if fn is not None else None
+    saved_filt = filt.data if xn is not None else None
 
     def backward(g):
-        if filt.requires_grad:
-            df = np.empty_like(filt.data)
+        if fn is not None:
+            df = np.empty((width, in_ch, out_ch), dtype=np.float32)
             g2 = g.reshape(b * length, out_ch)
             for w in range(width):
-                df[w] = xp[:, w : w + length].reshape(b * length, in_ch).T @ g2
-            _accum(filt, df)
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 1)))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
+                df[w] = saved_xp[:, w : w + length].reshape(b * length, in_ch).T @ g2
+            _accum(fn, df)
+        if bn is not None:
+            _accum(bn, g.sum(axis=(0, 1)))
+        if xn is not None:
+            dxp = np.zeros(padded, dtype=np.float32)
             for w in range(width):
-                dxp[:, w : w + length] += g @ filt.data[w].T
-            _accum(x, dxp[:, r : r + length])
+                dxp[:, w : w + length] += g @ saved_filt[w].T
+            _accum(xn, dxp[:, r : r + length])
 
     return Tensor(out_data, parents=(x, filt, bias), backward=backward)
 
@@ -305,14 +371,18 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (n_out,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({n_out},)")
     out_data = x.data @ weights.data + bias.data
+    xn, wn, bn = x._node, weights._node, bias._node
+    # the weight gradient reads the input, the input gradient the weights
+    saved_x = x.data if wn is not None else None
+    saved_w = weights.data if xn is not None else None
 
     def backward(g):
-        if weights.requires_grad:
-            _accum(weights, x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, n_out).sum(axis=0))
-        if x.requires_grad:
-            _accum(x, g @ weights.data.T)
+        if wn is not None:
+            _accum(wn, saved_x.reshape(-1, n_in).T @ g.reshape(-1, n_out))
+        if bn is not None:
+            _accum(bn, g.reshape(-1, n_out).sum(axis=0))
+        if xn is not None:
+            _accum(xn, g @ saved_w.T)
 
     return Tensor(out_data, parents=(x, weights, bias), backward=backward)
 
@@ -365,17 +435,18 @@ def batch_norm(x: Tensor, mask: np.ndarray, params: LayerParams, train: bool) ->
     inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
     xhat = (x.data - mean) * inv
     out_data = xhat * scale.data + shift.data
+    xn, sn, hn, scale_data = x._node, scale._node, shift._node, scale.data
 
     def backward(g):
-        if scale.requires_grad:
-            _accum(scale, (g * xhat).sum(axis=(0, 1)))
-        if shift.requires_grad:
-            _accum(shift, g.sum(axis=(0, 1)))
-        if not x.requires_grad:
+        if sn is not None:
+            _accum(sn, (g * xhat).sum(axis=(0, 1)))
+        if hn is not None:
+            _accum(hn, g.sum(axis=(0, 1)))
+        if xn is None:
             return
-        dxhat = g * scale.data
+        dxhat = g * scale_data
         if not train:
-            _accum(x, dxhat * inv)
+            _accum(xn, dxhat * inv)
             return
         # All positions were normalized with the masked statistics, so the
         # sums below run over every position while only masked-in positions
@@ -383,7 +454,7 @@ def batch_norm(x: Tensor, mask: np.ndarray, params: LayerParams, train: bool) ->
         s1 = dxhat.sum(axis=(0, 1))
         s2 = (dxhat * xhat).sum(axis=(0, 1))
         dx = inv * (dxhat - m3 * (s1 + xhat * s2) / np.float32(n))
-        _accum(x, dx)
+        _accum(xn, dx)
 
     return Tensor(out_data, parents=(x, scale, shift), backward=backward)
 
@@ -396,14 +467,21 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ParameterError("training-mode dropout needs an rng")
-    keep = (rng.random(x.data.shape) >= rate).astype(np.float32)
-    keep /= np.float32(1.0 - rate)
-    out_data = x.data * keep
+    kept = rng.random(x.data.shape) >= rate
+    out_data = x.data * _dropout_scale(kept, rate)
+    xn = x._node
 
     def backward(g):
-        _accum(x, g * keep)
+        _accum(xn, g * _dropout_scale(kept, rate))
 
     return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def _dropout_scale(kept: np.ndarray, rate: float) -> np.ndarray:
+    """The float32 multiplier of a bool keep mask: 1/(1-rate) where kept, else 0."""
+    scale = kept.astype(np.float32)
+    scale /= np.float32(1.0 - rate)
+    return scale
 
 
 def max_norm_project(weights: np.ndarray, c: float) -> np.ndarray:
@@ -418,14 +496,17 @@ def max_norm_project(weights: np.ndarray, c: float) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float32)
     if w.ndim != 2:
         raise ShapeError(f"max_norm_project expects a 2-D matrix, got {w.shape}")
-    w64 = w.astype(np.float64)
-    norms = np.sqrt((w64 * w64).sum(axis=0))
+    # one float64 buffer holds the squares, then the scaled columns; w
+    # widens to float64 exactly, so both equal the products of its widened copy
+    buf = w.astype(np.float64)
+    np.multiply(buf, buf, out=buf)
+    norms = np.sqrt(buf.sum(axis=0))
     over = norms > c * (1.0 + _MAX_NORM_SLACK)
     if not over.any():
         return w.copy()
     scale = np.ones_like(norms)
     scale[over] = c / norms[over]
-    return (w64 * scale).astype(np.float32)
+    return np.multiply(w, scale, out=buf).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +542,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) 
     picked = np.take_along_axis(logp, labels[..., None].astype(np.int64) % k, axis=-1)[..., 0]
     loss64 = -(picked.astype(np.float64) * m.astype(np.float64)).sum() / n
     out_data = np.float32(loss64)
+    ln = logits._node
 
     def backward(g):
-        if not logits.requires_grad:
-            return
         softmax = ez / sez
-        onehot = np.zeros_like(z)
+        onehot = np.zeros_like(ez)
         np.put_along_axis(onehot, labels[..., None].astype(np.int64) % k, 1.0, axis=-1)
         d = (softmax - onehot) * m[..., None] / np.float32(n)
-        _accum(logits, d * g)
+        _accum(ln, d * g)
 
     return Tensor(out_data, parents=(logits,), backward=backward)
 

@@ -186,31 +186,39 @@ def checkpoint_from_model(model, adam=None, iteration: int = 0,
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary format: magic, version, tensor count, named float32 tensors
     (sorted by name), then the iteration counter and best validation Q8.
-    All integers little-endian. The file is replaced atomically.
+    All integers little-endian. The file is replaced atomically; each
+    tensor streams into it from its own array, so saving holds no second
+    copy of the checkpoint.
     """
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.tensors))]
-    for name in sorted(ckpt.tensors):
-        arr = np.asarray(ckpt.tensors[name])
-        if arr.dtype != np.float32:
-            raise CheckpointError(f"tensor {name!r} is {arr.dtype}, only float32 is storable")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", 0, arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.astype("<f4", copy=False).tobytes())
-    chunks.append(struct.pack("<Qd", ckpt.iteration, ckpt.best_validation_q8))
-    write_atomic(path, b"".join(chunks))
+
+    def chunks():
+        yield CHECKPOINT_MAGIC
+        yield struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.tensors))
+        for name in sorted(ckpt.tensors):
+            arr = np.asarray(ckpt.tensors[name])
+            if arr.dtype != np.float32:
+                raise CheckpointError(f"tensor {name!r} is {arr.dtype}, only float32 is storable")
+            encoded = name.encode("utf-8")
+            yield struct.pack("<H", len(encoded))
+            yield encoded
+            yield struct.pack("<BB", 0, arr.ndim)
+            yield struct.pack(f"<{arr.ndim}Q", *arr.shape)
+            yield np.ascontiguousarray(arr, dtype="<f4")
+        yield struct.pack("<Qd", ckpt.iteration, ckpt.best_validation_q8)
+
+    write_atomic(path, chunks())
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so a process that dies mid-write leaves
-    the previous file whole. A write that raises removes its temporary."""
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``path`` through a
+    temporary file in the same directory and ``os.replace``, so a process
+    that dies mid-write leaves the previous file whole. A write that
+    raises, in ``chunks`` or in the file, removes its temporary."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,6 +1,8 @@
 """Tensor core: forward oracles, gradients, optimizer, projections."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -456,6 +458,44 @@ class TestSingleUseGraph:
         x.backward()
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_an_assigned_backward_is_the_closure_the_walk_calls(self, rng):
+        """A hook that replaces an op output's ``_backward`` (as the benchmark
+        tracer does to time each op's backward) reads back as itself and is
+        the closure ``backward`` runs, once, with the output's gradient."""
+        x, w, b = self._leaves(rng)
+        h, out = self._forward(x, w, b)
+        inner, seen = out._backward, []
+
+        def hooked(g):
+            seen.append(g.copy())
+            inner(g)
+
+        out._backward = hooked
+        assert out._backward is hooked
+        seed = rng.standard_normal(out.data.shape).astype(np.float32)
+        out.backward(seed)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], seed)
+        assert w.grad is not None and x.grad is not None
+
+    def test_tensors_are_freed_without_the_cycle_collector(self, rng):
+        """No tensor, leaf or op output, sits in a reference cycle, walked or
+        not: each one's array is freed with its last reference."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for walk in (False, True):
+                x, w, b = self._leaves(rng)
+                h, out = self._forward(x, w, b)
+                if walk:
+                    out.backward(np.ones_like(out.data))
+                refs = [weakref.ref(t.data) for t in (x, w, b, h, out)]
+                del x, w, b, h, out
+                assert [r() for r in refs] == [None] * 5
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestGraphFollowsRequiresGrad:
     """An op keeps its parents and backward closure only when one of its
@@ -472,7 +512,8 @@ class TestGraphFollowsRequiresGrad:
         x, b = (tensor(rng.standard_normal(shape), grad=False) for shape in ((2, 3, 4), (5,)))
         w = tensor(rng.standard_normal((4, 5)))
         out = T.dense(x, w, b)
-        assert out._parents == (x, w, b) and out._backward is not None
+        # the graph links the requiring input's node, not the tensors
+        assert out._parents == (w._node,) and out._backward is not None
         assert out.requires_grad
         out.backward(np.ones_like(out.data))
         assert w.grad is not None and x.grad is None and b.grad is None
@@ -556,6 +597,53 @@ class TestMaxNorm:
         twice = T.max_norm_project(once, c)
         np.testing.assert_array_equal(once, twice)
         assert (np.linalg.norm(once.astype(np.float64), axis=0) <= c + 1e-6).all()
+
+
+def max_norm_two_buffers(weights, c):
+    """``max_norm_project`` as it was before it reused one float64 buffer:
+    the oracle for the one-buffer version, bit for bit."""
+    w = np.asarray(weights, dtype=np.float32)
+    w64 = w.astype(np.float64)
+    norms = np.sqrt((w64 * w64).sum(axis=0))
+    over = norms > c * (1.0 + T._MAX_NORM_SLACK)
+    if not over.any():
+        return w.copy()
+    scale = np.ones_like(norms)
+    scale[over] = c / norms[over]
+    return (w64 * scale).astype(np.float32)
+
+
+class TestMaxNormMatchesTwoBuffers:
+    @staticmethod
+    def _check(w, c):
+        got = T.max_norm_project(w, c)
+        want = max_norm_two_buffers(w, c)
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 40), (567, 455)])
+    @pytest.mark.parametrize("c", [0.04614, 0.5, 3.0])
+    def test_random_matrices(self, rng, shape, c):
+        self._check((rng.standard_normal(shape) * 0.1).astype(np.float32), c)
+
+    def test_columns_at_the_slack_boundary(self, rng):
+        """Bounds a few float64 ulps either side of each column's trigger
+        norm, c * (1 + slack), so every column flips in or out between calls."""
+        w = rng.standard_normal((40, 6)).astype(np.float32)
+        norms = np.sqrt((w.astype(np.float64) ** 2).sum(axis=0))
+        for j in range(w.shape[1]):
+            c = norms[j] / (1.0 + T._MAX_NORM_SLACK)
+            for _ in range(3):
+                c = np.nextafter(c, 0.0)
+            for _ in range(7):
+                self._check(w, float(c))
+                c = np.nextafter(c, np.inf)
+
+    def test_all_inside_returns_an_equal_copy(self, rng):
+        w = (rng.standard_normal((30, 8)) * 1e-3).astype(np.float32)
+        got = self._check(w, 10.0)
+        assert got is not w and not np.shares_memory(got, w)
 
 
 class TestInit:

@@ -315,17 +315,54 @@ class TestBackwardFreesTheGraph:
         records = mixed_length_corpus(n=3, seed=4)
         assert model.config.conditioned and len({r.length for r in records}) > 1
         loss = training_step(model, records, seed=1)
-        interior = [t for t in topological_order(loss) if t._parents and t is not loss]
+        interior = [n for n in topological_order(loss) if n._parents and n is not loss]
         assert len(interior) > 30
-        # a Tensor takes no weak reference (__slots__), so its data array
-        # and its closure, the memory it holds, stand in for it
-        refs = [weakref.ref(t.data) for t in interior]
-        refs += [weakref.ref(t._backward) for t in interior if t._backward is not None]
-        del interior
+        # an op's graph node holds its closure, and the closure the arrays
+        # its backward reads: what the graph keeps alive. Parameter arrays
+        # live on with the model, so only the others are tracked.
+        closures = [n._backward for n in interior] + [loss._backward]
+        params = {id(t.data) for t in model.named_tensors().values()}
+        saved = [cell.cell_contents for f in closures for cell in f.__closure__
+                 if isinstance(cell.cell_contents, np.ndarray)
+                 and id(cell.cell_contents) not in params]
+        assert len(saved) > 30
+        refs = [weakref.ref(a) for a in saved] + [weakref.ref(f) for f in closures]
+        del interior, closures, saved
         loss.backward()
         assert sum(r() is not None for r in refs) == 0
         assert loss.grad is None and loss._parents is None
         assert all(t.grad is not None for t in model.trainable().values())
+
+    def test_a_train_forward_frees_what_no_backward_reads(self, monkeypatch):
+        """Before ``loss.backward()``, a train-mode ``chained`` forward holds
+        no batch-norm, ReLU, dropout or concat output that no backward
+        reads: each is freed once the next op consumed it. The only ones
+        left are dense layers' inputs, which their weight gradients read."""
+        made, dense_inputs = [], []
+
+        def tracked(op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                made.append((op.__name__, weakref.ref(out.data)))
+                return out
+            return wrapper
+
+        def dense(x, weights, bias, op=T.dense):
+            dense_inputs.append(weakref.ref(x.data))
+            return op(x, weights, bias)
+
+        for name in ("batch_norm", "relu", "dropout", "concat_channels"):
+            monkeypatch.setattr(T, name, tracked(getattr(T, name)))
+        monkeypatch.setattr(T, "dense", dense)
+        model = build(shipped_model("chained"), np.random.default_rng(0))
+        loss = training_step(model, mixed_length_corpus(n=3, seed=4), seed=1)
+        assert {name for name, _ in made} == {"batch_norm", "relu", "dropout",
+                                              "concat_channels"}
+        read = [r() for r in dense_inputs]
+        alive = [(name, r()) for name, r in made if r() is not None]
+        assert all(any(a is x for x in read) for _, a in alive), [n for n, _ in alive]
+        assert len(alive) < len(made) // 4
+        loss.backward()
 
     @pytest.mark.parametrize("name", ["chained", "ablation_row9", "ablation_row1"])
     def test_gradients_match_the_keep_everything_walk(self, name):
@@ -382,6 +419,24 @@ class TestEvaluateQ8:
         model = build(tiny_config(), np.random.default_rng(1))
         with pytest.raises(ParameterError):
             evaluate_q8(model, [])
+
+
+def joined_checkpoint_bytes(ckpt):
+    """The checkpoint bytes as ``save_checkpoint`` built them before it
+    streamed: every chunk joined into one bytes object. The oracle for the
+    streamed file."""
+    chunks = [training.CHECKPOINT_MAGIC,
+              struct.pack("<II", training.CHECKPOINT_VERSION, len(ckpt.tensors))]
+    for name in sorted(ckpt.tensors):
+        arr = np.asarray(ckpt.tensors[name])
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<BB", 0, arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        chunks.append(arr.astype("<f4", copy=False).tobytes())
+    chunks.append(struct.pack("<Qd", ckpt.iteration, ckpt.best_validation_q8))
+    return b"".join(chunks)
 
 
 class TestCheckpointFormat:
@@ -464,6 +519,41 @@ class TestCheckpointFormat:
         assert loaded.tensors["s"].shape == () and loaded.tensors["s"] == 2.5
         save_checkpoint(Checkpoint({}, 0, 0.0), tmp_path / "e.ckpt")
         assert load_checkpoint(tmp_path / "e.ckpt").tensors == {}
+
+    def test_streamed_file_equals_the_joined_bytes(self, tmp_path):
+        """The file ``save_checkpoint`` streams holds the bytes it wrote
+        when it joined every chunk first, for 0-d, empty and non-contiguous
+        tensors beside a model's tensors and Adam moments."""
+        model, adam = self._model_and_adam()
+        ckpt = checkpoint_from_model(model, adam, iteration=7, best_validation_q8=0.5)
+        base = np.arange(24, dtype=np.float32).reshape(4, 6)
+        odd = {"zz.scalar": np.array(2.5, dtype=np.float32),
+               "zz.empty": np.zeros((0, 3), dtype=np.float32),
+               "zz.strided": base[:, ::2], "zz.transposed": base.T,
+               "zz.fortran": np.asfortranarray(base)}
+        assert not any(a.flags.c_contiguous for a in (base[:, ::2], base.T))
+        ckpt.tensors.update(odd)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == joined_checkpoint_bytes(ckpt)
+        loaded = load_checkpoint(path)
+        for name, arr in odd.items():
+            np.testing.assert_array_equal(loaded.tensors[name], arr)
+
+    def test_a_write_failing_mid_stream_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint({"a": np.ones(3, dtype=np.float32)}, 1, 0.5), path)
+        before = path.read_bytes()
+        # "a" streams into the temporary before "b" fails the dtype check
+        bad = Checkpoint({"a": np.ones(3, dtype=np.float32),
+                          "b": np.ones(2, dtype=np.float64)}, 2, 0.75)
+        with pytest.raises(CheckpointError, match="'b'"):
+            save_checkpoint(bad, path)
+        # a chunk the file cannot take
+        with pytest.raises(TypeError):
+            training.write_atomic(path, [b"head", "not bytes"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_non_float32_rejected(self, tmp_path):
         ckpt = Checkpoint({"x": np.zeros(2, dtype=np.float64)}, 0, 0.0)
