@@ -183,13 +183,18 @@ def build_run_config(values: dict[str, str], seed_override: int | None = None) -
 
 
 def render_config(run: RunConfig) -> str:
-    """Serialize a RunConfig so that re-parsing yields an equal config."""
+    """Serialize a RunConfig so that re-parsing yields an equal config; a value that
+    would not re-parse (a ``#``, a line break, edge whitespace) raises ``ConfigError``."""
     pairs = [(f.name, getattr(section, f.name))
              for section in (run.model, run.training) for f in dataclasses.fields(section)]
     pairs.append(("n_validation", run.n_validation))
     if run.data_dir:
         pairs.append(("data", run.data_dir))
-    return "".join(f"{key} = {_render_value(value)}\n" for key, value in pairs)
+    rendered = {key: _render_value(value) for key, value in pairs}
+    for key, text in rendered.items():
+        if "#" in text or text.strip() != text or len(text.splitlines()) > 1:
+            raise ConfigError(f"key {key!r}: {text!r} has a '#', a line break or edge whitespace")
+    return "".join(f"{key} = {text}\n" for key, text in rendered.items())
 
 
 def shipped_config_names() -> list[str]:
@@ -306,7 +311,9 @@ def _check_output(path: str) -> None:
 
 def _train_and_save(run: RunConfig, out_path: str, make_dir: bool = False) -> int:
     """Train ``run`` and write ``out_path`` with its sidecar; ``make_dir``
-    makes a missing output directory, but only once the data has loaded."""
+    makes a missing output directory, but only once the data has loaded.
+    The sidecar is rendered first, so a run it cannot record never trains."""
+    sidecar = render_config(run).encode("utf-8")
     out_dir = os.path.dirname(out_path) or "."
     missing = make_dir and not os.path.exists(out_dir)
     if not missing:
@@ -324,7 +331,7 @@ def _train_and_save(run: RunConfig, out_path: str, make_dir: bool = False) -> in
     model.buffers["input_norm.pssm_std"].data[...] = std
     ckpt = train(model, split, run.training, log=print)
     save_checkpoint(ckpt, out_path)
-    write_atomic(out_path + ".cfg", [render_config(run).encode("utf-8")])
+    write_atomic(out_path + ".cfg", [sidecar])
     print(f"wrote {out_path} (iteration {ckpt.iteration}), "
           f"best validation q8 {ckpt.best_validation_q8:.6f}")
     return 0

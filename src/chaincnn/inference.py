@@ -6,10 +6,10 @@ label context) row becomes the receptive-field window around i, and
 window can reach the center logit, so this equals the full forward at i.
 ``forward_window`` computes only that center: the conv trunk runs as a
 valid-convolution pyramid that narrows to the fc_window columns the head
-reads, and the head runs once per window. For the shipped configs, at
-every batch size, the tests check the scores bit-identical to the full
-forward's (``model._row_blocks`` says why); other shapes can differ in the
-last bits.
+reads, and the head runs once per window. Its kernels pad and block rows
+(``model._row_blocks`` says why), so for the shipped configs, at every
+batch size, the tests check the scores bit-identical to the full forward's;
+other shapes can differ in the last bits.
 Rescoring (``sequence_log_prob``) and scheduled sampling do not score
 here: ``model.Stepper`` steps a whole batch with one new column per layer
 per position, and the tests check its scores equal to this window path's,

@@ -331,19 +331,19 @@ class Model:
 
         Only what the center logit depends on is computed. The trunk runs
         on plain arrays as a valid-convolution pyramid (for ``chained``: 43
-        -> 35 -> 27 -> 19 -> 11 columns) over time-major windows, rows
-        padded as ``Stepper`` pads them: each ``_stage`` drops width // 2
-        columns at each end. Its last fc_window columns, flattened
-        window-position major, are exactly the center's ``gather_windows``
-        row, and the head runs once per window, not once per window position.
+        -> 35 -> 27 -> 19 -> 11 columns) over the time-major windows' n
+        rows: each ``_stage`` drops width // 2 columns at each end. Its last
+        fc_window columns are exactly the center's ``gather_windows`` row,
+        and the head runs once per window, not once per window position.
 
         ``forward`` over the window, center kept, is the reference. The
-        center rows go through ``_score_rows``, which rounds them as that
-        forward's head does (see ``_row_blocks``). For the shipped configs
-        the tests check the result bit-identical to the reference. The
-        cropped trunk convolutions can still round differently from SAME
-        ones for other shapes (a depth like 3, or a pyramid that narrows to
-        one column), so there the match is only to float32 rounding.
+        kernels ``_conv_columns`` and ``_score_rows`` pad and block the rows
+        (see ``_row_blocks``) so that the head rounds each center row as
+        that forward's head does. For the shipped configs the tests check
+        the result bit-identical to the reference. The cropped trunk
+        convolutions can still round differently from SAME ones for other
+        shapes (a depth like 3, or a pyramid that narrows to one column),
+        so there the match is only to float32 rounding.
         """
         features = np.asarray(features, dtype=np.float32)
         mask = np.asarray(mask, dtype=np.float32)
@@ -352,60 +352,59 @@ class Model:
             raise ShapeError(f"expected [batch, {width}, {NUM_FEATURES}] windows (width = "
                              f"receptive field) and a [batch, {width}] mask, got "
                              f"{features.shape} and {mask.shape}")
-        n = features.shape[0]
-        blocks = _row_blocks(n, 2)  # one row would go to gemv
-        x = self._with_context(features, context)
-        h = np.zeros((width, blocks[-1][1], x.shape[2]), dtype=np.float32)
-        cols = np.zeros(h.shape[:2] + (1,), dtype=np.float32)  # the mask, time-major
-        h[:, :n], cols[:, :n, 0] = x.transpose(1, 0, 2), mask.T
-        h *= cols
+        cols = np.ascontiguousarray(mask.T)[:, :, None]  # the mask, time-major
+        h = np.multiply(self._with_context(features, context).transpose(1, 0, 2), cols, order="C")
         for block in self._plan.blocks:
             block_in = h
             for stage in block.stages:
                 crop = stage.width // 2
                 cols = cols[crop : len(cols) - crop]
-                h = self._stage(stage, h, cols, blocks)
+                h = self._stage(stage, h, cols)
             if block.skip:  # the block input's columns beside the block output's
-                proj = _conv_columns(block_in, self.layers[block.skip],
-                                     (len(block_in) - len(h)) // 2, blocks)
+                crop = (len(block_in) - len(h)) // 2
+                proj = _conv_columns(block_in, self.layers[block.skip], crop)
                 h = np.concatenate([h, proj], axis=2) * cols
-        return self._score_rows(h[:, :n].transpose(1, 0, 2).reshape(n, h.shape[0] * h.shape[2]))
+        return self._score_rows(h)
 
-    def _stage(self, stage: _Stage, x: np.ndarray, mask: np.ndarray, blocks) -> np.ndarray:
+    def _stage(self, stage: _Stage, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """``stage`` at positions [width // 2, length - width // 2) of
         time-major [length, rows, channels] ``x``: its convs, depth-
         concatenated, then batch norm, ReLU and ``mask`` through ``_norm_relu``."""
         crop = stage.width // 2
-        h = np.concatenate([_conv_columns(x, self.layers[name], crop, blocks)
+        h = np.concatenate([_conv_columns(x, self.layers[name], crop)
                             for name, _, _ in stage.convs], axis=2)
         return _norm_relu(h, self.layers[stage.norm], mask)
 
-    def _score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Log probabilities [n, 9] float64 of the head over [n, n_in] rows of
-        fc_window trunk columns, flattened window-position major, run in
-        ``_row_blocks`` of 16 to 128 rows, fewer than 16 zero-padded.
-        ``forward_window`` and ``Stepper`` both score here, in infer mode: no graph.
-        """
-        n = rows.shape[0]
+    def _score_rows(self, window: np.ndarray) -> np.ndarray:
+        """Log probabilities [n, 9] float64 of the head over time-major
+        [fc_window, n, channels] trunk columns, each row flattened window-
+        position major (its ``gather_windows`` row), run in ``_row_blocks`` of
+        16 to 128 rows, fewer than 16 beside zero rows. ``forward_window`` and
+        ``Stepper`` both score here, in infer mode: no graph."""
+        n = window.shape[1]
         blocks = _row_blocks(n, 16)
-        padded = np.zeros((blocks[-1][1], rows.shape[1]), dtype=np.float32)
-        padded[:n] = rows
-        logits = [self._head(T.Tensor(padded[lo:hi]), False, None).data for lo, hi in blocks]
+        rows = np.zeros((blocks[-1][1], window.shape[0] * window.shape[2]), dtype=np.float32)
+        rows.reshape(len(rows), window.shape[0], window.shape[2])[:n] = window.transpose(1, 0, 2)
+        logits = [self._head(T.Tensor(rows[lo:hi]), False, None).data for lo, hi in blocks]
         return T.log_softmax(np.concatenate(logits)[:n])
 
 
-def _conv_columns(x: np.ndarray, lp: T.LayerParams, crop: int, blocks) -> np.ndarray:
+def _conv_columns(x: np.ndarray, lp: T.LayerParams, crop: int) -> np.ndarray:
     """Conv layer ``lp`` of C-contiguous, time-major [length, rows, in] ``x``
     at the n = length - 2 * crop positions [crop, length - crop) only, for
     crop >= width // 2, so none reads padding. The taps are one strided
-    [width, n, rows, in] view; each ``blocks`` block runs one batched matmul,
-    a 2-D [rows_block, in] @ [in, out] sgemm per tap and column (never one
-    over stacked columns, whose row count would differ between the scorers
-    that share this), and one sum over the leading axis adds bias and taps
-    in tap order, as ``tensor.conv1d`` does."""
+    [width, n, rows, in] view; each of the ``_row_blocks(rows, 2)`` (fewer
+    than 2 rows run beside zero rows) runs one batched matmul, a 2-D
+    [rows_block, in] @ [in, out] sgemm per tap and column (never one over
+    stacked columns, whose row count would differ between the scorers that
+    share this), and one sum over the leading axis adds bias and taps in
+    tap order, as ``tensor.conv1d`` does."""
     filt = lp.weights.data
     width, _, out = filt.shape
-    n = len(x) - 2 * crop
+    n, rows = len(x) - 2 * crop, x.shape[1]
+    blocks = _row_blocks(rows, 2)
+    if blocks[-1][1] > rows:  # one row would go to gemv
+        x = np.concatenate([x, np.zeros((len(x), 2 - rows, x.shape[2]), np.float32)], 1)
     step = x.strides[0]
     taps = np.ndarray((width, n) + x.shape[1:], np.float32, x, (crop - width // 2) * step,
                       (step,) + x.strides)
@@ -413,7 +412,7 @@ def _conv_columns(x: np.ndarray, lp: T.LayerParams, crop: int, blocks) -> np.nda
     terms[0] = lp.biases.data
     for lo, hi in blocks:
         np.matmul(taps[:, :, lo:hi], filt[:, None], out=terms[1:, :, lo:hi])
-    return terms.sum(axis=0)
+    return terms.sum(axis=0)[:, :rows]
 
 
 def _norm_relu(x: np.ndarray, lp: T.LayerParams, mask: np.ndarray) -> np.ndarray:
@@ -428,9 +427,11 @@ def _norm_relu(x: np.ndarray, lp: T.LayerParams, mask: np.ndarray) -> np.ndarray
 def _row_blocks(n: int, floor: int) -> list[tuple[int, int]]:
     """Even [lo, hi) blocks of at most 128 rows over max(n, floor) rows.
 
-    The scorers run their matmuls on these blocks so that BLAS rounds each
-    row as the full ``forward`` does, which multiplies one record's rows
-    per call. OpenBLAS sgemm rounds a row alike at any row count within one
+    The two scoring kernels, ``_conv_columns`` and ``Model._score_rows``,
+    and no caller of theirs, pad their rows with zero rows up to ``floor``
+    and run their matmuls on these blocks, so that BLAS rounds each row as
+    the full ``forward`` does, which multiplies one record's rows per call.
+    OpenBLAS sgemm rounds a row alike at any row count within one
     kernel regime: gemv for one row, a small-matrix kernel for small
     products, a blocked kernel above. In every shipped head the fc layers
     run the blocked kernel from 16 rows up and the 9-wide output layer the
@@ -485,11 +486,12 @@ class Stepper:
     and pushes input columns 0..radius-1; each ``push`` then scores the
     next position, its column's label channels overwritten by the labels.
 
-    The scores are bit-identical to ``Model.forward_window`` over the same
-    windows on every BLAS core, by construction: on rows padded to the same
-    ``_row_blocks``, each stage step is ``Model._stage`` over its queue's
-    last ``stage.width`` columns, a skip projection is ``_conv_columns``
-    over one ``_Queue.span`` column, and the head is ``Model._score_rows``.
+    The buffers and queues hold the n rows and nothing else; the two
+    kernels pad and block them. The scores are bit-identical to
+    ``Model.forward_window`` over the same windows on every BLAS core, by
+    construction: each stage step is ``Model._stage`` over its queue's last
+    ``stage.width`` columns, a skip projection is ``_conv_columns`` over one
+    ``_Queue.span`` column, and the head is ``Model._score_rows``.
     """
 
     def __init__(self, model: Model, features: np.ndarray, mask: np.ndarray):
@@ -501,15 +503,11 @@ class Stepper:
             raise ShapeError(f"mask shape {mask.shape} != {features.shape[:2]}")
         self.model = model
         self.n, self.length = mask.shape
-        self._row_blocks = _row_blocks(self.n, 2)  # one row would go to gemv
-        rows = self._row_blocks[-1][1]
         radius = model.receptive_field().radius
-        # columns up to length - 1 + radius get pushed; past the buffer they are masked
-        length = self.length
-        self._input = np.zeros((rows, length + radius, x.shape[2]), dtype=np.float32)
-        self._input[: self.n, :length] = x
-        self._mask = np.zeros((rows, length + radius), dtype=np.float32)
-        self._mask[: self.n, :length] = mask
+        # columns up to length - 1 + radius get pushed; past the records they are
+        # masked, and a trunk column before them (-radius <= col < 0) wraps to those
+        self._input = np.concatenate([x, np.zeros((self.n, radius, x.shape[2]), np.float32)], 1)
+        self._mask = np.concatenate([mask, np.zeros((self.n, radius), np.float32)], 1)
         self._column = 0
 
         self._queues = []  # per block: one input queue per stage
@@ -518,9 +516,9 @@ class Stepper:
             sizes = [stage.width for stage in block.stages]
             if block.skip:
                 sizes[0] = max(sizes[0], sum(w // 2 for w in sizes) + 1)
-            self._queues.append([_Queue(size, rows, stage.channels)
+            self._queues.append([_Queue(size, self.n, stage.channels)
                                  for size, stage in zip(sizes, block.stages)])
-        self._head_queue = _Queue(model.config.fc_window, rows, model._plan.trunk_channels)
+        self._head_queue = _Queue(model.config.fc_window, self.n, model._plan.trunk_channels)
         no_seq = np.full(self.n, NOSEQ_CLASS, dtype=np.int64)
         for _ in range(radius):
             self._advance(no_seq)
@@ -531,15 +529,13 @@ class Stepper:
         if self._column == self._input.shape[1]:
             raise ParameterError(f"all {self.length} positions of the batch are already scored")
         self._advance(labels)
-        window = self._head_queue.span(0, self._head_queue.size)[:, : self.n]
-        return self.model._score_rows(
-            window.transpose(1, 0, 2).reshape(self.n, window.shape[0] * window.shape[2]))
+        return self.model._score_rows(self._head_queue.span(0, self._head_queue.size))
 
     def _advance(self, labels) -> None:
         """Push input column i + radius with context ``labels`` through the trunk."""
         col = self._column
         x = self._input[:, col].copy()
-        x[: self.n, NUM_FEATURES:] = _one_hot(labels, (self.n,))
+        x[:, NUM_FEATURES:] = _one_hot(labels, (self.n,))
         self._column += 1
         h = x * self._mask[:, col, None]
         for block, queues in zip(self.model._plan.blocks, self._queues):
@@ -547,18 +543,13 @@ class Stepper:
             for stage, queue in zip(block.stages, queues):
                 queue.push(h)
                 col -= stage.width // 2
-                h = self.model._stage(stage, queue.span(0, stage.width), self._mask_at(col),
-                                      self._row_blocks)[0]
+                mask = self._mask[:, col, None]
+                h = self.model._stage(stage, queue.span(0, stage.width), mask)[0]
             if block.skip:
                 proj = _conv_columns(queues[0].span(start - col, 1),
-                                     self.model.layers[block.skip], 0, self._row_blocks)[0]
-                h = np.concatenate([h, proj], axis=1) * self._mask_at(col)
+                                     self.model.layers[block.skip], 0)[0]
+                h = np.concatenate([h, proj], axis=1) * mask
         self._head_queue.push(h)
-
-    def _mask_at(self, col: int) -> np.ndarray:
-        if col < 0:
-            return np.zeros((len(self._mask), 1), dtype=np.float32)
-        return self._mask[:, col, None]
 
 
 def build(config: ModelConfig, rng: np.random.Generator | None) -> Model:

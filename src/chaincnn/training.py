@@ -172,14 +172,20 @@ class Checkpoint:
     best_validation_q8: float = float("nan")
 
 
+def _named_arrays(model, adam=None) -> dict[str, np.ndarray]:
+    """The arrays a checkpoint of ``model`` (and ``adam``) stores, by name:
+    the model's named tensors, then the moments as ``adam.m.<param>`` and
+    ``adam.v.<param>``."""
+    arrays = {name: t.data for name, t in model.named_tensors().items()}
+    if adam is not None:
+        for prefix, store in (("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)):
+            arrays.update((prefix + name, buf) for name, buf in store.items())
+    return arrays
+
+
 def checkpoint_from_model(model, adam=None, iteration: int = 0,
                           best_validation_q8: float = float("nan")) -> Checkpoint:
-    tensors = {name: t.data.copy() for name, t in model.named_tensors().items()}
-    if adam is not None:
-        for name, m in adam.first_moment.items():
-            tensors[f"adam.m.{name}"] = m.copy()
-        for name, v in adam.second_moment.items():
-            tensors[f"adam.v.{name}"] = v.copy()
+    tensors = {name: arr.copy() for name, arr in _named_arrays(model, adam).items()}
     return Checkpoint(tensors, iteration, best_validation_q8)
 
 
@@ -274,14 +280,15 @@ def load_checkpoint(path) -> Checkpoint:
 def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
     """Copy checkpoint values into a built model (and optimizer) in place.
 
-    The checkpoint's tensor names must match the model's exactly, every
-    tensor bound to the model must have its shape and only finite entries,
-    and ``input_norm.pssm_std`` must be finite and positive, because every
-    forward divides its input by it. Adam moments are restored when
-    ``adam`` is given, with its step counter set to the checkpoint iteration.
+    The checkpoint's tensor names must match the model's exactly, and, when
+    ``adam`` is given, its moment names too. Every bound array, tensor or
+    moment, must have its shape and only finite entries, and
+    ``input_norm.pssm_std`` must be finite and positive, because every
+    forward divides its input by it. With ``adam``, its step counter is set
+    to the checkpoint iteration.
     """
-    stored = {n for n in ckpt.tensors if not n.startswith(("adam.m.", "adam.v."))}
-    expected = model.named_tensors()
+    expected = _named_arrays(model, adam)
+    stored = {n for n in ckpt.tensors if n in expected or not n.startswith(("adam.m.", "adam.v."))}
     if stored != set(expected):
         missing = sorted(set(expected) - stored)
         surplus = sorted(stored - set(expected))
@@ -292,23 +299,14 @@ def bind_checkpoint(ckpt: Checkpoint, model, adam=None) -> None:
     if not (np.isfinite(std) & (std > 0)).all():
         raise CheckpointError("tensor 'input_norm.pssm_std' has an entry that is not "
                               "finite and positive")
-    for name, tensor in expected.items():
+    for name, buf in expected.items():
         arr = ckpt.tensors[name]
-        if arr.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {arr.shape}, model expects {tensor.data.shape}"
-            )
+        if arr.shape != buf.shape:
+            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, model expects {buf.shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name!r} has a non-finite entry")
-        np.copyto(tensor.data, arr)
+        np.copyto(buf, arr)
     if adam is not None:
-        for name, buf in adam.first_moment.items():
-            for prefix, store in (("adam.m.", adam.first_moment),
-                                  ("adam.v.", adam.second_moment)):
-                key = prefix + name
-                if key not in ckpt.tensors:
-                    raise CheckpointError(f"checkpoint carries no {key!r}")
-                np.copyto(store[name], ckpt.tensors[key])
         adam.step = ckpt.iteration
 
 

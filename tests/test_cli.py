@@ -155,6 +155,17 @@ class TestConfigRoundTrip:
                     assert getattr(section, f.name) != f.default, f.name
         assert build_run_config(parse_config_text(render_config(run))) == run
 
+    @pytest.mark.parametrize("data", ("/tmp/runs#3/data", "/tmp/a\nb", "/tmp/a\rb", "/tmp/a\n",
+                                      " /tmp/a", "/tmp/a\t"))
+    def test_a_value_the_parser_would_cut_is_rejected(self, data):
+        """``parse_config_text`` cuts a line at '#', splits lines and strips
+        values, so none of these would re-read as written."""
+        run = dataclasses.replace(build_run_config(parse_config_text(TINY_CFG)), data_dir=data)
+        with pytest.raises(ConfigError, match="key 'data': .* has a '#', a line break or edge"):
+            render_config(run)
+        assert render_config(dataclasses.replace(run, data_dir="/tmp/a b")).endswith(
+            "data = /tmp/a b\n")
+
 
 class TestShippedConfigs:
     def test_names(self):
@@ -305,6 +316,28 @@ class TestTrainCommand:
         b = run_train(tmp_path, tiny_cfg, data_dir, "b.ckpt")
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("how", ("--data", "--set"))
+    def test_data_path_the_sidecar_cannot_hold_exit_1(self, tmp_path, tiny_cfg, how,
+                                                      monkeypatch, capsys):
+        """A data path with a '#' would re-read from the sidecar cut short,
+        so a later ``eval`` would read another directory: the run fails
+        before it trains, and writes nothing."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a run its sidecar cannot record")
+
+        monkeypatch.setattr(chaincnn.cli, "train", no_training)
+        d = tmp_path / "runs#3" / "data"
+        d.mkdir(parents=True)
+        save_native(rule_corpus(n=8, length=30, seed=0), str(d / "corpus.txt"))
+        out = tmp_path / "m.ckpt"
+        given = ["--data", str(d)] if how == "--data" else ["--set", f"data={d}"]
+        code = main(["train", "--config", tiny_cfg, "--out", str(out), *given])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: key 'data': ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs#3", "tiny.cfg"]
+        code = main(["ablate", "--row", "2", "--out", str(tmp_path / "abl"), "--data", str(d)])
+        assert code == 1 and not (tmp_path / "abl").exists()
 
     def test_out_in_missing_directory_exit_2(self, tmp_path, tiny_cfg, data_dir,
                                              monkeypatch, capsys):

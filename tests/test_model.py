@@ -403,8 +403,7 @@ class TestWindowKernels:
         x = rng.standard_normal((3, 9, 4)).astype(np.float32)
         lp = T.LayerParams("c", T.Tensor(rng.standard_normal((width, 4, 8))),
                            T.Tensor(rng.standard_normal(8)))
-        out = _conv_columns(np.ascontiguousarray(x.transpose(1, 0, 2)), lp, crop,
-                            _row_blocks(3, 2))
+        out = _conv_columns(np.ascontiguousarray(x.transpose(1, 0, 2)), lp, crop)
         assert out.shape == (9 - 2 * crop, 3, 8)
         full = T.conv1d(T.Tensor(x), lp.weights, lp.biases).data
         np.testing.assert_allclose(out.transpose(1, 0, 2), full[:, crop : 9 - crop],
@@ -415,7 +414,7 @@ class TestWindowKernels:
         x = np.array([[[1.0], [10.0]], [[2.0], [20.0]], [[3.0], [30.0]], [[4.0], [40.0]]],
                      dtype=np.float32)
         lp = T.LayerParams("c", T.Tensor(np.ones((3, 1, 1))), T.Tensor([0.5]))
-        np.testing.assert_array_equal(_conv_columns(x, lp, 1, [(0, 2)])[:, :, 0],
+        np.testing.assert_array_equal(_conv_columns(x, lp, 1)[:, :, 0],
                                       [[6.5, 60.5], [9.5, 90.5]])
 
     def test_norm_relu_is_the_infer_mode_ops(self):
@@ -490,8 +489,9 @@ class TestForwardWindow:
         assert got.shape == (0, NUM_CLASSES)
 
     def test_one_window_pads_rows_to_two(self, monkeypatch):
-        """One row would go to gemv, so the trunk runs it beside a zero row:
-        its score is the first of two windows whose second is all padding."""
+        """One row would go to gemv, so the conv kernel runs it beside a zero
+        row: the window path hands the kernel one row, and its score is the
+        first of two windows whose second is all padding."""
         model = build(small_config(), np.random.default_rng(15))
         width = model.receptive_field().width
         rng = np.random.default_rng(2)
@@ -499,13 +499,13 @@ class TestForwardWindow:
         mask = (rng.random((1, width)) > 0.2).astype(np.float32)
         seen = []
 
-        def recording(x, lp, crop, blocks):
-            seen.append((x.shape[1], list(blocks)))
-            return _conv_columns(x, lp, crop, blocks)
+        def recording(x, lp, crop):
+            seen.append(x.shape[1])
+            return _conv_columns(x, lp, crop)
 
         monkeypatch.setattr(chaincnn.model, "_conv_columns", recording)
         got = model.forward_window(feats, mask)
-        assert seen and all(s == (2, [(0, 2)]) for s in seen)
+        assert seen and all(rows == 1 for rows in seen)
         padded = model.forward_window(np.concatenate([feats, np.zeros_like(feats)]),
                                       np.concatenate([mask, np.zeros_like(mask)]))
         np.testing.assert_array_equal(got, padded[:1])
@@ -648,8 +648,9 @@ class TestStepperMatchesWindowPath:
 
     def test_zero_records(self):
         model = build(small_config(conditioned=True), np.random.default_rng(1))
-        n_in = model.layers["fc1"].weights.data.shape[0]
-        assert model._score_rows(np.zeros((0, n_in), dtype=np.float32)).shape == (0, NUM_CLASSES)
+        channels = model._plan.trunk_channels
+        window = np.zeros((model.config.fc_window, 0, channels), dtype=np.float32)
+        assert model._score_rows(window).shape == (0, NUM_CLASSES)
         stepper = Stepper(model, np.zeros((0, 10, 42), dtype=np.float32),
                           np.zeros((0, 10), dtype=np.float32))
         assert stepper.push(np.zeros(0, dtype=np.int64)).shape == (0, NUM_CLASSES)
@@ -695,19 +696,60 @@ class TestQueue:
             history.append(column)
 
 
-def per_tap_conv_columns(x, lp, crop, blocks):
-    """``_conv_columns`` as a loop: per tap, output column and row block, one
-    2-D [rows_block, in] @ [in, out] matmul added onto a copy of the bias,
-    taps in order."""
+class TestScorersHoldOnlyRealRows:
+    """The two kernels pad and block rows, so ``Stepper`` keeps exactly its
+    n rows in every buffer and queue, and both scorers hand the kernels
+    those n rows: one row (which the conv kernel runs beside a zero row),
+    two, and more than one 128-row block."""
+
+    @pytest.mark.parametrize("n", (1, 2, 130))
+    def test_every_buffer_has_n_rows(self, n, monkeypatch):
+        model = build(small_config(conditioned=True), np.random.default_rng(n))
+        width = model.receptive_field().width
+        rng = np.random.default_rng(0)
+        handed = []
+        conv, score = _conv_columns, Model._score_rows
+
+        def conv_rows(x, lp, crop):
+            handed.append(x.shape[1])
+            return conv(x, lp, crop)
+
+        def score_rows(self, window):
+            handed.append(window.shape[1])
+            return score(self, window)
+
+        monkeypatch.setattr(chaincnn.model, "_conv_columns", conv_rows)
+        monkeypatch.setattr(Model, "_score_rows", score_rows)
+        stepper = Stepper(model, rng.standard_normal((n, 6, 42)).astype(np.float32),
+                          np.ones((n, 6), dtype=np.float32))
+        assert stepper.push(np.full(n, NOSEQ_CLASS)).shape == (n, NUM_CLASSES)
+        queues = [q for qs in stepper._queues for q in qs] + [stepper._head_queue]
+        assert len(stepper._input) == len(stepper._mask) == n
+        assert len(queues) == 5 and all(q.columns.shape[1] == n for q in queues)
+        scores = model.forward_window(rng.standard_normal((n, width, 42)).astype(np.float32),
+                                      np.ones((n, width), dtype=np.float32),
+                                      rng.integers(0, NUM_CLASSES, (n, width)))
+        assert scores.shape == (n, NUM_CLASSES)
+        assert handed and set(handed) == {n}
+
+
+def per_tap_conv_columns(x, lp, crop):
+    """``_conv_columns`` as a loop: rows zero-padded to ``_row_blocks(rows,
+    2)`` as the kernel pads them, then per tap, output column and row block,
+    one 2-D [rows_block, in] @ [in, out] matmul added onto a copy of the
+    bias, taps in order."""
     filt = lp.weights.data
     width = filt.shape[0]
-    n, off = len(x) - 2 * crop, crop - width // 2
-    acc = np.broadcast_to(lp.biases.data, (n, x.shape[1], filt.shape[2])).copy()
+    n, off, rows = len(x) - 2 * crop, crop - width // 2, x.shape[1]
+    blocks = _row_blocks(rows, 2)
+    padded = np.zeros((len(x), blocks[-1][1], x.shape[2]), dtype=np.float32)
+    padded[:, :rows] = x
+    acc = np.broadcast_to(lp.biases.data, (n, padded.shape[1], filt.shape[2])).copy()
     for w in range(width):
         for t in range(n):
             for lo, hi in blocks:
-                acc[t, lo:hi] += x[off + w + t, lo:hi] @ filt[w]
-    return acc
+                acc[t, lo:hi] += padded[off + w + t, lo:hi] @ filt[w]
+    return acc[:, :rows]
 
 
 class TestStepperMatchesPerTapOracle:
@@ -727,9 +769,9 @@ class TestStepperMatchesPerTapOracle:
             1 for b in plan.blocks if b.skip)
         calls = [0]
 
-        def counted(x, lp, crop, blocks):
+        def counted(x, lp, crop):
             calls[0] += 1
-            return per_tap_conv_columns(x, lp, crop, blocks)
+            return per_tap_conv_columns(x, lp, crop)
 
         for rows in (1, 2, 8, 17, 130):
             rng = np.random.default_rng(rows)

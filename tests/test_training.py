@@ -512,6 +512,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=f"tensor '{name}' has a non-finite entry"):
             bind_checkpoint(ckpt, model)
 
+    @pytest.mark.parametrize("prefix", ("adam.m.", "adam.v."))
+    def test_moments_are_checked_like_weights(self, prefix):
+        """A moment of the wrong shape, one that would broadcast included, a
+        non-finite moment and a missing one are rejected as a weight is."""
+        model, adam = self._model_and_adam()
+        name = prefix + "block1.multi0.weights"
+        store = adam.first_moment if prefix == "adam.m." else adam.second_moment
+        for bad, fragment in ((np.ones(1, dtype=np.float32), "has shape"),
+                              (np.ones((2, 2), dtype=np.float32), "has shape"),
+                              (np.full_like(store["block1.multi0.weights"], np.nan),
+                               "has a non-finite entry")):
+            ckpt = checkpoint_from_model(model, adam)
+            ckpt.tensors[name] = bad
+            fresh = T.AdamState.for_params(model.trainable())
+            with pytest.raises(CheckpointError, match=f"tensor '{name}' {fragment}"):
+                bind_checkpoint(ckpt, model, fresh)
+        ckpt = checkpoint_from_model(model, adam)
+        del ckpt.tensors[name]
+        with pytest.raises(CheckpointError, match=f"missing \\['{name}'\\]"):
+            bind_checkpoint(ckpt, model, T.AdamState.for_params(model.trainable()))
+        bind_checkpoint(ckpt, model)  # a model alone binds without its moments
+
     def test_scalar_and_empty_checkpoints(self, tmp_path):
         ckpt = Checkpoint({"s": np.array(2.5, dtype=np.float32)}, 1, 0.0)
         save_checkpoint(ckpt, tmp_path / "s.ckpt")
